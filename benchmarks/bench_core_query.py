@@ -1,4 +1,4 @@
-"""Core-query hot path — dict vs CSR vs ALT vs CH vs warm caches.
+"""Core-query hot path — CSR vs ALT vs CH vs warm caches.
 
 The hardware-bound rework (:mod:`repro.graph.csr`,
 :mod:`repro.graph.landmarks`, :mod:`repro.graph.contraction`,
@@ -9,22 +9,19 @@ measures both and emits the machine-readable
 
 * **scenarios** — the paper's figure-3 shape (tokyo, ``|Sq| = 3``) and
   figure-4 shape (tokyo, ``|Sq| = 5``);
-* **variants** — ``dict`` (flat adjacency disabled, the pre-CSR hot
-  path), ``csr`` (flat kernels), ``csr_alt`` (flat kernels + landmark
-  lower bounds), ``warm`` (``csr_alt`` behind a shared
+* **variants** — ``csr`` (the flat kernels alone), ``csr_alt`` (flat
+  kernels + landmark lower bounds), ``warm`` (``csr_alt`` behind a shared
   :class:`~repro.core.distcache.DistanceCache`, timed on the second
   pass over the workload), ``ch`` (``csr_alt`` plus contraction-
   hierarchy leg kernels, bucket-cold per query), ``ch_warm`` (``ch``
   behind a shared cache, so CH target buckets persist across queries);
 * per scenario/variant: p50/p95 query latency and mean queue pops,
-  plus the ``csr_alt``/``dict`` and ``ch``/``csr_alt`` p50 ratios and
-  cache hit counters (search and CH-bucket traffic separately).
+  plus the ``ch``/``csr_alt`` p50 ratio and cache hit counters (search
+  and CH-bucket traffic separately).
 
-Exactness is asserted inline: the ``dict`` and ``csr`` variants must
-return the same routes with the same scores *and the same pop counts*
-on every query (the bit-identical contract of
-:func:`repro.graph.csr.flat_adjacency`); ``csr_alt`` must return the
-same routes (ALT only sharpens admissible bounds); the CH variants
+Exactness is asserted inline against ``csr``: ``csr_alt`` and ``warm``
+must return the same routes with the same scores (ALT only sharpens
+admissible bounds; the shared cache only skips work); the CH variants
 must return the same routes with scores equal after rounding to nine
 decimals — CH sums associate differently from left-to-right search
 sums, so float answers may differ by ULPs (integer-weight graphs are
@@ -57,7 +54,6 @@ from repro.core.engine import SkySREngine
 from repro.core.options import BSSROptions
 from repro.datasets.workloads import generate_workload
 from repro.graph.contraction import contraction_for
-from repro.graph.csr import set_csr_enabled
 from repro.graph.landmarks import landmarks_for
 
 #: timed repetitions per query (latencies pool across the workload),
@@ -67,7 +63,7 @@ from repro.graph.landmarks import landmarks_for
 #: machine was busy, which keeps the p50 ratio stable across runs.
 REPEATS = 15
 
-VARIANTS = ("dict", "csr", "csr_alt", "warm", "ch", "ch_warm")
+VARIANTS = ("csr", "csr_alt", "warm", "ch", "ch_warm")
 #: variants whose figure-3 p95 is guarded against the committed artifact
 GUARDED_VARIANTS = ("csr_alt", "ch", "ch_warm")
 #: regression guard: each guarded p95 (figure3) may be at most 2x the
@@ -101,13 +97,8 @@ def _run_scenario(tokyo, workload, alt_options, ch_options):
     cache = DistanceCache(max_entries=512, max_bytes=64 * 2**20)
     ch_cache = DistanceCache(max_entries=512, max_bytes=64 * 2**20)
     engines = {
-        "dict": (SkySREngine(tokyo.network, tokyo.forest), None, False),
-        "csr": (SkySREngine(tokyo.network, tokyo.forest), None, True),
-        "csr_alt": (
-            SkySREngine(tokyo.network, tokyo.forest),
-            alt_options,
-            True,
-        ),
+        "csr": (SkySREngine(tokyo.network, tokyo.forest), None),
+        "csr_alt": (SkySREngine(tokyo.network, tokyo.forest), alt_options),
         "warm": (
             SkySREngine(
                 tokyo.network,
@@ -116,13 +107,8 @@ def _run_scenario(tokyo, workload, alt_options, ch_options):
                 distance_cache=cache,
             ),
             alt_options,
-            True,
         ),
-        "ch": (
-            SkySREngine(tokyo.network, tokyo.forest),
-            ch_options,
-            True,
-        ),
+        "ch": (SkySREngine(tokyo.network, tokyo.forest), ch_options),
         "ch_warm": (
             SkySREngine(
                 tokyo.network,
@@ -131,19 +117,14 @@ def _run_scenario(tokyo, workload, alt_options, ch_options):
                 distance_cache=ch_cache,
             ),
             ch_options,
-            True,
         ),
     }
 
     def call(label, query):
-        engine, options, use_csr = engines[label]
-        prev = set_csr_enabled(use_csr)
-        try:
-            return engine.query(
-                query.start, list(query.categories), options=options
-            )
-        finally:
-            set_csr_enabled(prev)
+        engine, options = engines[label]
+        return engine.query(
+            query.start, list(query.categories), options=options
+        )
 
     for label in VARIANTS:
         for query in workload:
@@ -206,15 +187,13 @@ def test_core_query_artifact(benchmark, bench_config, tokyo, capsys):
             tokyo, workload, alt_options, ch_options
         )
 
-        # Exactness: CSR is bit-identical to dict, pop for pop; ALT and
-        # the shared cache may skip work but never change an answer;
-        # the CH variants match at the 9-decimal grain (see module doc).
-        assert answers["csr"] == answers["dict"]
-        assert pops["csr"] == pops["dict"]
-        assert answers["csr_alt"] == answers["dict"]
-        assert answers["warm"] == answers["dict"]
-        assert _rounded(answers["ch"]) == _rounded(answers["dict"])
-        assert _rounded(answers["ch_warm"]) == _rounded(answers["dict"])
+        # Exactness: ALT and the shared cache may skip work but never
+        # change an answer; the CH variants match at the 9-decimal grain
+        # (see module doc).
+        assert answers["csr_alt"] == answers["csr"]
+        assert answers["warm"] == answers["csr"]
+        assert _rounded(answers["ch"]) == _rounded(answers["csr"])
+        assert _rounded(answers["ch_warm"]) == _rounded(answers["csr"])
 
         for label in VARIANTS:
             variants[label] = {
@@ -223,9 +202,6 @@ def test_core_query_artifact(benchmark, bench_config, tokyo, capsys):
                 "pops_mean": mean(pops[label]),
                 "samples": len(latencies[label]),
             }
-        variants["csr_alt_vs_dict_p50"] = (
-            variants["csr_alt"]["p50_s"] / variants["dict"]["p50_s"]
-        )
         variants["ch_vs_csr_alt_p50"] = (
             variants["ch"]["p50_s"] / variants["csr_alt"]["p50_s"]
         )
@@ -271,8 +247,7 @@ def test_core_query_artifact(benchmark, bench_config, tokyo, capsys):
                 )
             )
         print(
-            f"core query: csr_alt/dict p50 ratio "
-            f"{fig3['csr_alt_vs_dict_p50']:.2f}, ch/csr_alt p50 ratio "
+            f"core query: ch/csr_alt p50 ratio "
             f"{fig3['ch_vs_csr_alt_p50']:.2f} on figure3, "
             f"warm hit rate {fig3['cache']['hit_rate']:.2f}, "
             f"ch preprocess {ch_preprocess_s * 1e3:.0f}ms "

@@ -26,7 +26,8 @@ Exactness rests on the same conditions as the per-run cache, plus one:
   datasets; :meth:`DistanceCache.lookup` asserts network identity.
 
 Budgets follow the :mod:`repro.store` idiom: entry and byte caps with
-LRU eviction (recency serials, no wall-clock ties).  Byte accounting
+LRU eviction (an access-ordered dict, no wall-clock ties) and a running
+byte total, so each admission and eviction costs O(1).  Byte accounting
 is a documented estimate of a live search's footprint, not an exact
 measurement — the point is a stable knob, not forensic accounting.
 Hit/miss/eviction counters feed ``BENCH_core_query.json``'s warm-cache
@@ -35,7 +36,7 @@ scenario.
 
 from __future__ import annotations
 
-import itertools
+from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.core.search import PoICandidateSearch
@@ -44,8 +45,8 @@ from repro.core.stats import SearchStats
 from repro.errors import QueryError
 from repro.graph.road_network import RoadNetwork
 
-#: rough per-label bytes of a flat-backend search (three float cells +
-#: settled flag across |V|), used by the footprint estimate below
+#: rough per-vertex bytes of a search (three label cells + settled
+#: flag across |V|), used by the footprint estimate below
 _FLAT_CELL_BYTES = 25
 
 #: rough bytes per dict entry / heap tuple / candidate triple
@@ -92,17 +93,12 @@ class CacheStats:
 class _Entry:
     value: object  # a live PoICandidateSearch or a CH target bucket
     size: int
-    last_used: int
 
 
 def _estimate_bytes(search: PoICandidateSearch) -> int:
     """Documented footprint estimate of a live search (see module doc)."""
     base = len(search._heap) + len(search.candidates)
-    if search._flat is not None:
-        return search._flat[0] * _FLAT_CELL_BYTES + base * _DICT_ENTRY_BYTES
-    return (
-        len(search._dist) + len(search._path_sim) + len(search._settled) + base
-    ) * _DICT_ENTRY_BYTES
+    return search._flat[0] * _FLAT_CELL_BYTES + base * _DICT_ENTRY_BYTES
 
 
 class DistanceCache:
@@ -131,8 +127,9 @@ class DistanceCache:
         self.max_entries = max_entries
         self.max_bytes = max_bytes
         self.stats = CacheStats()
-        self._entries: dict[tuple, _Entry] = {}
-        self._recency = itertools.count()
+        #: least recently used first
+        self._entries: OrderedDict[tuple, _Entry] = OrderedDict()
+        self._bytes = 0
         self._network: RoadNetwork | None = None
 
     # ------------------------------------------------------------------
@@ -174,7 +171,7 @@ class DistanceCache:
         if entry is None:
             self.stats.misses += 1
             return None
-        entry.last_used = next(self._recency)
+        self._entries.move_to_end(key)
         self.stats.hits += 1
         search = entry.value
         assert isinstance(search, PoICandidateSearch)
@@ -198,15 +195,7 @@ class DistanceCache:
         key = self._key(source, spec)
         if key is None:
             return False
-        size = _estimate_bytes(search)
-        if self.max_bytes is not None and size > self.max_bytes:
-            return False
-        self._entries[key] = _Entry(
-            value=search, size=size, last_used=next(self._recency)
-        )
-        self.stats.admissions += 1
-        self._evict_over_budget(keep=key)
-        return True
+        return self._store(key, search, _estimate_bytes(search))
 
     # ------------------------------------------------------------------
     # CH target buckets (see repro.graph.contraction.shared_bucket)
@@ -223,7 +212,7 @@ class DistanceCache:
         if entry is None:
             self.stats.bucket_misses += 1
             return None
-        entry.last_used = next(self._recency)
+        self._entries.move_to_end(key)
         self.stats.bucket_hits += 1
         return entry.value
 
@@ -234,49 +223,42 @@ class DistanceCache:
         size = _DICT_ENTRY_BYTES * (
             2 * len(pairs) + sum(len(row) for row in pairs.values())
         )
-        if self.max_bytes is not None and size > self.max_bytes:
-            return False
-        self._entries[key] = _Entry(
-            value=bucket, size=size, last_used=next(self._recency)
-        )
-        self.stats.admissions += 1
-        self._evict_over_budget(keep=key)
-        return True
+        return self._store(key, bucket, size)
 
     # ------------------------------------------------------------------
 
     @property
     def total_bytes(self) -> int:
-        return sum(entry.size for entry in self._entries.values())
+        return self._bytes
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def clear(self) -> None:
         self._entries.clear()
+        self._bytes = 0
 
-    def _evict_over_budget(self, *, keep: tuple) -> None:
-        def over() -> bool:
-            if (
-                self.max_entries is not None
-                and len(self._entries) > self.max_entries
-            ):
-                return True
-            return (
-                self.max_bytes is not None
-                and self.total_bytes > self.max_bytes
-            )
-
-        while over():
-            victims = [k for k in self._entries if k != keep]
-            if not victims:
-                # the kept entry alone exceeds the budget; admit()
-                # screened per-entry size, so only entry-count budgets
-                # of 0 could land here — and those are rejected upfront
-                break
-            lru = min(victims, key=lambda k: self._entries[k].last_used)
-            del self._entries[lru]
+    def _store(self, key: tuple, value: object, size: int) -> bool:
+        """Insert ``value`` as the most recent entry, then evict LRU
+        entries (never ``key`` itself) until the budgets hold."""
+        if self.max_bytes is not None and size > self.max_bytes:
+            return False
+        old = self._entries.pop(key, None)
+        if old is not None:
+            self._bytes -= old.size
+        self._entries[key] = _Entry(value=value, size=size)
+        self._bytes += size
+        self.stats.admissions += 1
+        entries = self._entries
+        while (
+            self.max_entries is not None and len(entries) > self.max_entries
+        ) or (self.max_bytes is not None and self._bytes > self.max_bytes):
+            lru = next(iter(entries))
+            if lru == key:
+                break  # never evict what was just admitted
+            self._bytes -= entries.pop(lru).size
             self.stats.evictions += 1
+        return True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -60,14 +60,14 @@ def nninit(
     query has a destination, ``dest_dist`` (distances *to* the
     destination) must be supplied so seeded lengths are total lengths.
 
-    With ``landmarks`` (and the CSR backend), the *non-last* legs run
-    goal-directed A* toward the position's perfect set instead of plain
-    Dijkstra.  This is sound because those legs only pick the chain's
-    next PoI: the seed stays a real route of its exact length, and BSSR
-    never depends on seed optimality — a (theoretically possible,
-    ~1e-9-relative) suboptimal pick merely weakens the initial
-    thresholds.  The *last* leg must stay distance-ordered: it emits one
-    seed route per semantic match settled before the perfect one.
+    With ``landmarks``, the *non-last* legs run goal-directed A* toward
+    the position's perfect set instead of plain Dijkstra.  This is sound
+    because those legs only pick the chain's next PoI: the seed stays a
+    real route of its exact length, and BSSR never depends on seed
+    optimality — a (theoretically possible, ~1e-9-relative) suboptimal
+    pick merely weakens the initial thresholds.  The *last* leg must
+    stay distance-ordered: it emits one seed route per semantic match
+    settled before the perfect one.
 
     With ``ch`` (``BSSROptions.use_contraction``), legs with a
     ``share_key`` replace graph traversal entirely: one forward upward
@@ -87,10 +87,7 @@ def nninit(
     length = 0.0
     state = aggregator.initial(n)
     source = query.start
-    # Backend choice mirrors the Dijkstra flavors: CSR kernel when
-    # enabled, dict-based otherwise, with identical settle/relax order
-    # and stats counting.
-    flat = flat_adjacency(network)
+    num_v, indptr, indices, weights = flat_adjacency(network)
 
     for position, spec in enumerate(specs):
         is_last = position == n - 1
@@ -102,9 +99,6 @@ def nninit(
         push = heapq.heappush
         pop = heapq.heappop
         settled_n = relaxed_n = 0
-        # Backend loops are duplicated (rather than branching per pop /
-        # per edge) so each runs with every array in a local; settle and
-        # relax order — and stats totals — are identical.
         if ch is not None and spec.share_key is not None and perfect:
             counters = _SweepCounters()
             if is_last:
@@ -145,8 +139,7 @@ def nninit(
             settled_n = counters.settled
             relaxed_n = counters.relaxed
         elif (
-            flat is not None
-            and landmarks is not None
+            landmarks is not None
             and not is_last
             and spec.share_key is not None
             and perfect
@@ -160,7 +153,6 @@ def nninit(
             # length of a real path, which is all seeding needs.  The
             # heuristic is a memoized flat row (one list index per
             # relaxation), which is why this path needs a ``share_key``.
-            num_v, indptr, indices, weights = flat
             dist_row = [math.inf] * num_v
             dist_row[source] = 0.0
             settled_row = bytearray(num_v)
@@ -186,8 +178,7 @@ def nninit(
                     if nd < dist_row[v]:
                         dist_row[v] = nd
                         push(astar, (nd + hrow[v], nd, v))
-        elif flat is not None:
-            num_v, indptr, indices, weights = flat
+        else:
             dist_row = [math.inf] * num_v
             dist_row[source] = 0.0
             settled_row = bytearray(num_v)
@@ -229,45 +220,6 @@ def nninit(
                     nd = d + weights[i]
                     if nd < dist_row[v]:
                         dist_row[v] = nd
-                        push(heap, (nd, v))
-        else:
-            dist: dict[int, float] = {source: 0.0}
-            settled: set[int] = set()
-            while heap:
-                d, u = pop(heap)
-                if u in settled:
-                    continue
-                settled.add(u)
-                settled_n += 1
-                usable = u not in used
-                if is_last and usable:
-                    sim = sim_of(u)
-                    if sim is not None:
-                        total = length + d
-                        if dest_dist is not None:
-                            leg = dest_dist.get(u, math.inf)
-                            total = length + d + leg
-                        if total < math.inf:
-                            end_state = aggregator.extend(state, sim)
-                            route = SkylineRoute(
-                                pois=tuple(prefix_pois) + (u,),
-                                length=total,
-                                semantic=aggregator.score(end_state),
-                                sims=tuple(prefix_sims) + (sim,),
-                            )
-                            found_routes.append(route)
-                            skyline.update(route)
-                        if u in perfect:
-                            found = (d, u)
-                            break
-                elif usable and u in perfect:
-                    found = (d, u)
-                    break
-                for v, w in network.neighbors(u):
-                    relaxed_n += 1
-                    nd = d + w
-                    if nd < dist.get(v, math.inf):
-                        dist[v] = nd
                         push(heap, (nd, v))
         if stats is not None:
             stats.settled += settled_n

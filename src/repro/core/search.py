@@ -25,12 +25,10 @@ caching is only used when query positions draw candidates from disjoint
 category trees; otherwise BSSR builds throw-away instances with
 per-route exclusions (still exact, no reuse).
 
-Like the plain Dijkstra flavors, the expansion loop has two backends:
-the original dict-based one and a CSR kernel over flat adjacency
-arrays (:mod:`repro.graph.csr`), selected at construction time.  Both
-relax edges in the same order and count stats identically, so emitted
-candidate streams — and serialized checkpoints — are bit-identical
-(``tests/test_csr.py`` pins this).
+Like the plain Dijkstra flavors, the expansion loop runs over the flat
+adjacency arrays of :mod:`repro.graph.csr`, relaxing edges in
+``network.neighbors`` order, so candidate streams (and the replay
+offsets stored in checkpoints) are deterministic.
 """
 
 from __future__ import annotations
@@ -137,23 +135,17 @@ class PoICandidateSearch:
         self._exclude = exclude
         self._stats = stats
         self._flat = flat_adjacency(network)
-        if self._flat is not None:
-            n = self._flat[0]
-            self._dist: list[float] | dict[int, float] = [math.inf] * n
-            self._dist[source] = 0.0
-            # max similarity of any usable PoI strictly on the recorded
-            # shortest path from the source (Lemma 5.5 i)
-            self._path_sim: list[float] | dict[int, float] = [0.0] * n
-            self._settled: bytearray | set[int] = bytearray(n)
-            # vertices whose labels went finite, in discovery order;
-            # settled ones are filtered out at serialization time to
-            # match the dict backend (which pops labels on settle)
-            self._touched: list[int] | None = [source]
-        else:
-            self._dist = {source: 0.0}
-            self._path_sim = {source: 0.0}
-            self._settled = set()
-            self._touched = None
+        n = self._flat[0]
+        self._dist = [math.inf] * n
+        self._dist[source] = 0.0
+        # max similarity of any usable PoI strictly on the recorded
+        # shortest path from the source (Lemma 5.5 i)
+        self._path_sim = [0.0] * n
+        self._settled = bytearray(n)
+        # vertices whose labels went finite, in discovery order; a
+        # resume reads only the settled flag of settled ones, so
+        # checkpoints keep their labels out (see to_dict)
+        self._touched = [source]
         self._heap: list[tuple[float, int]] = [(0.0, source)]
         #: emitted candidates ``(distance, vid, similarity)`` in distance order
         self.candidates: list[tuple[float, int, float]] = []
@@ -175,12 +167,8 @@ class PoICandidateSearch:
     def _skim(self) -> None:
         heap = self._heap
         settled = self._settled
-        if self._flat is not None:
-            while heap and settled[heap[0][1]]:
-                heapq.heappop(heap)
-        else:
-            while heap and heap[0][1] in settled:
-                heapq.heappop(heap)
+        while heap and settled[heap[0][1]]:
+            heapq.heappop(heap)
 
     def next_distance(self) -> float:
         """Distance of the next settle (inf when exhausted)."""
@@ -190,97 +178,6 @@ class PoICandidateSearch:
     @property
     def exhausted(self) -> bool:
         return self.next_distance() == math.inf
-
-    def _settle_one(self) -> None:
-        """Settle the next vertex: emit, maybe stop-through, relax.
-
-        In the dict backend, per-vertex state (tentative distance, path
-        similarity) is released once a vertex settles — cached searches
-        live for a whole BSSR run (Section 5.3.4), so they keep only
-        what a resume can still read: the frontier and the emitted
-        candidates.  The flat backend keeps O(|V|) arrays instead and
-        filters settled entries out at checkpoint time.
-        """
-        d, u = heapq.heappop(self._heap)
-        self.radius = d
-        stats = self._stats
-        if stats is not None:
-            stats.settled += 1
-        if self._flat is not None:
-            _, indptr, indices, weights = self._flat
-            settled = self._settled
-            settled[u] = 1
-            path_sim = self._path_sim[u]
-            sim = self._spec.sim_map.get(u)
-            usable = sim is not None and u not in self._exclude
-            if usable and sim > path_sim:  # type: ignore[operator]
-                self.candidates.append((d, u, sim))  # type: ignore[arg-type]
-            if usable and sim >= 1.0:  # type: ignore[operator]
-                return  # Lemma 5.5 (ii): never traverse through a perfect match
-            through = path_sim
-            if usable and sim > through:  # type: ignore[operator]
-                through = sim  # type: ignore[assignment]
-            dist = self._dist
-            heap = self._heap
-            path_sims = self._path_sim
-            touched = self._touched
-            push = heapq.heappush
-            inf = math.inf
-            for i in range(indptr[u], indptr[u + 1]):
-                if stats is not None:
-                    stats.relaxed += 1
-                v = indices[i]
-                if settled[v]:
-                    continue
-                nd = d + weights[i]
-                old = dist[v]
-                if nd < old:
-                    if old == inf:
-                        touched.append(v)  # type: ignore[union-attr]
-                    dist[v] = nd
-                    path_sims[v] = through
-                    push(heap, (nd, v))
-                    if stats is not None:
-                        stats.heap_pushes += 1
-                elif nd == old and through < path_sims[v]:
-                    # Equal-length tie: remember the cleanest path so
-                    # fewer candidates are suppressed (either choice is
-                    # exact).
-                    path_sims[v] = through
-            return
-        settled = self._settled
-        settled.add(u)
-        self._dist.pop(u, None)
-        path_sim = self._path_sim.pop(u, 0.0)
-        sim = self._spec.sim_map.get(u)
-        usable = sim is not None and u not in self._exclude
-        if usable and sim > path_sim:  # type: ignore[operator]
-            self.candidates.append((d, u, sim))  # type: ignore[arg-type]
-        if usable and sim >= 1.0:  # type: ignore[operator]
-            return  # Lemma 5.5 (ii): never traverse through a perfect match
-        through = path_sim
-        if usable and sim > through:  # type: ignore[operator]
-            through = sim  # type: ignore[assignment]
-        dist = self._dist
-        heap = self._heap
-        path_sims = self._path_sim
-        for v, w in self._network.neighbors(u):
-            if stats is not None:
-                stats.relaxed += 1
-            if v in settled:
-                continue
-            nd = d + w
-            old = dist.get(v, math.inf)
-            if nd < old:
-                dist[v] = nd
-                path_sims[v] = through
-                heapq.heappush(heap, (nd, v))
-                if stats is not None:
-                    stats.heap_pushes += 1
-            elif nd == old and through < path_sims.get(v, 0.0):
-                # Equal-length tie: remember the cleanest path so fewer
-                # candidates are suppressed (either choice is exact).
-                path_sims[v] = through
 
     # ------------------------------------------------------------------
     # consumer interface
@@ -304,66 +201,17 @@ class PoICandidateSearch:
         it left off.  Candidate order is deterministic (distance, then
         the heap's vertex-id tie-break), so the offset is meaningful
         even on a freshly rebuilt search instance.
+
+        The budget is re-evaluated only at yield points: between two
+        yields this generator is the only code running, so nothing can
+        tighten the threshold mid-segment.  Stats are flushed before
+        every yield and return, so a consumer (or an abandoned
+        generator) never observes partial counts.
         """
         budget_fn: Callable[[], float] = (
             budget if callable(budget) else (lambda: budget)  # type: ignore[assignment]
         )
-        if self._flat is not None:
-            yield from self._candidates_until_flat(budget_fn, start)
-            return
-        i = start
-        while True:
-            while i < len(self.candidates):
-                entry = self.candidates[i]
-                if entry[0] >= budget_fn():
-                    return
-                yield entry
-                i += 1
-            nxt = self.next_distance()
-            if nxt == math.inf or nxt >= budget_fn():
-                return
-            self._settle_one()
-
-    def scored_until(
-        self,
-        budget: Callable[[], float] | float,
-        *,
-        start: int = 0,
-        leg=None,
-    ) -> Iterator[tuple[float, int, float, float]]:
-        """:meth:`candidates_until` plus the consumer's extra-leg score.
-
-        Yields ``(distance, vid, path_sim, extra)`` where ``extra`` is
-        ``leg.get(vid, inf)`` — the final-position destination leg of
-        BSSR's expansion, from any ``.get``-able mapping (an eager
-        Dijkstra dict or the lazy
-        :class:`~repro.graph.contraction.CHDistanceOracle`) — or ``0.0``
-        without a ``leg``.  Centralizing the lookup keeps candidate
-        scoring behind one seam; the stream and its budget/offset
-        semantics are untouched (pop-identical).
-        """
-        if leg is None:
-            for d, vid, sim in self.candidates_until(budget, start=start):
-                yield d, vid, sim, 0.0
-        else:
-            get = leg.get
-            for d, vid, sim in self.candidates_until(budget, start=start):
-                yield d, vid, sim, get(vid, math.inf)
-
-    def _candidates_until_flat(
-        self, budget_fn: Callable[[], float], start: int
-    ) -> Iterator[tuple[float, int, float]]:
-        """The CSR fast path of :meth:`candidates_until`.
-
-        Semantically identical to the generic loop (same settles, same
-        stats, same stream), but the settle machinery runs inline with
-        every array in a local.  The budget is re-evaluated only at
-        yield points: between two yields this generator is the only
-        code running, so nothing can tighten the threshold mid-segment.
-        Stats are flushed before every yield and return, so a consumer
-        (or an abandoned generator) never observes partial counts.
-        """
-        _, indptr, indices, weights = self._flat  # type: ignore[misc]
+        _, indptr, indices, weights = self._flat
         sim_of = self._spec.sim_map.get
         exclude = self._exclude
         dist = self._dist
@@ -427,7 +275,7 @@ class PoICandidateSearch:
                     old = dist[v]
                     if nd < old:
                         if old == inf:
-                            touched.append(v)  # type: ignore[union-attr]
+                            touched.append(v)
                         dist[v] = nd
                         path_sims[v] = through
                         push(heap, (nd, v))
@@ -441,10 +289,36 @@ class PoICandidateSearch:
                 stats.relaxed += relaxed_n
                 stats.heap_pushes += pushes_n
 
+    def scored_until(
+        self,
+        budget: Callable[[], float] | float,
+        *,
+        start: int = 0,
+        leg=None,
+    ) -> Iterator[tuple[float, int, float, float]]:
+        """:meth:`candidates_until` plus the consumer's extra-leg score.
+
+        Yields ``(distance, vid, path_sim, extra)`` where ``extra`` is
+        ``leg.get(vid, inf)`` — the final-position destination leg of
+        BSSR's expansion, from any ``.get``-able mapping (an eager
+        Dijkstra dict or the lazy
+        :class:`~repro.graph.contraction.CHDistanceOracle`) — or ``0.0``
+        without a ``leg``.  Centralizing the lookup keeps candidate
+        scoring behind one seam; the stream and its budget/offset
+        semantics are untouched (pop-identical).
+        """
+        if leg is None:
+            for d, vid, sim in self.candidates_until(budget, start=start):
+                yield d, vid, sim, 0.0
+        else:
+            get = leg.get
+            for d, vid, sim in self.candidates_until(budget, start=start):
+                yield d, vid, sim, get(vid, math.inf)
+
     def expand_fully(self) -> None:
         """Exhaust the search (used by tests and ablations)."""
-        while not self.exhausted:
-            self._settle_one()
+        for _ in self.candidates_until(math.inf):
+            pass
 
     # ------------------------------------------------------------------
     # durable checkpoints
@@ -458,10 +332,8 @@ class PoICandidateSearch:
         set here means the caller is serializing something that should
         never have reached a durable checkpoint.
 
-        Label entries are emitted sorted by vertex id, so the payload is
-        identical whichever backend produced it — a checkpoint written
-        under CSR restores bit-exactly on the dict backend and vice
-        versa.
+        Live labels and settled vertices are emitted sorted by vertex
+        id, so the payload does not depend on discovery order.
         """
         from repro.errors import SessionEncodeError
 
@@ -470,27 +342,13 @@ class PoICandidateSearch:
                 "candidate searches with per-route exclusions are "
                 "route-local and cannot be checkpointed"
             )
-        if self._flat is not None:
-            assert self._touched is not None
-            live = sorted(
-                v for v in self._touched if not self._settled[v]
-            )
-            dist_rows = [[v, self._dist[v]] for v in live]
-            sim_rows = [[v, self._path_sim[v]] for v in live]
-            settled_rows = sorted(
-                v for v in self._touched if self._settled[v]
-            )
-        else:
-            dist_rows = [[v, self._dist[v]] for v in sorted(self._dist)]
-            sim_rows = [
-                [v, self._path_sim[v]] for v in sorted(self._path_sim)
-            ]
-            settled_rows = sorted(self._settled)
+        settled = self._settled
+        live = sorted(v for v in self._touched if not settled[v])
         return {
             "source": self.source,
-            "dist": dist_rows,
-            "path_sim": sim_rows,
-            "settled": settled_rows,
+            "dist": [[v, self._dist[v]] for v in live],
+            "path_sim": [[v, self._path_sim[v]] for v in live],
+            "settled": sorted(v for v in self._touched if settled[v]),
             "heap": [[d, v] for d, v in self._heap],
             "candidates": [[d, v, s] for d, v, s in self.candidates],
             "radius": self.radius,
@@ -509,34 +367,27 @@ class PoICandidateSearch:
         set, same emitted candidate stream (hence the same deterministic
         ``candidates_until`` replay offsets)."""
         search = cls(network, spec, int(payload["source"]), stats=stats)
-        if search._flat is not None:
-            n = search._flat[0]
-            dist = [math.inf] * n
-            path_sim = [0.0] * n
-            settled = bytearray(n)
-            touched: list[int] = []
-            for v, d in payload["dist"]:
-                v = int(v)
-                dist[v] = float(d)
-                touched.append(v)
-            for v, s in payload["path_sim"]:
-                path_sim[int(v)] = float(s)
-            for v in payload["settled"]:
-                # settled labels were dropped at checkpoint time; the
-                # settled flag alone is what resumes consult
-                v = int(v)
-                settled[v] = 1
-                touched.append(v)
-            search._dist = dist
-            search._path_sim = path_sim
-            search._settled = settled
-            search._touched = touched
-        else:
-            search._dist = {int(v): float(d) for v, d in payload["dist"]}
-            search._path_sim = {
-                int(v): float(s) for v, s in payload["path_sim"]
-            }
-            search._settled = {int(v) for v in payload["settled"]}
+        n = search._flat[0]
+        dist = [math.inf] * n
+        path_sim = [0.0] * n
+        settled = bytearray(n)
+        touched: list[int] = []
+        for v, d in payload["dist"]:
+            v = int(v)
+            dist[v] = float(d)
+            touched.append(v)
+        for v, s in payload["path_sim"]:
+            path_sim[int(v)] = float(s)
+        for v in payload["settled"]:
+            # settled labels were dropped at checkpoint time; the
+            # settled flag alone is what resumes consult
+            v = int(v)
+            settled[v] = 1
+            touched.append(v)
+        search._dist = dist
+        search._path_sim = path_sim
+        search._settled = settled
+        search._touched = touched
         search._heap = [(float(d), int(v)) for d, v in payload["heap"]]
         heapq.heapify(search._heap)
         search.candidates = [

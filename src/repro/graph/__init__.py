@@ -1,11 +1,6 @@
 """Road-network substrate: graph, Dijkstra variants, PoI index, spatial."""
 
-from repro.graph.csr import (
-    CSRGraph,
-    csr_enabled,
-    csr_graph,
-    set_csr_enabled,
-)
+from repro.graph.csr import CSRGraph, csr_graph
 from repro.graph.dijkstra import (
     ExpansionCounters,
     ResumableDijkstra,
@@ -32,8 +27,6 @@ __all__ = [
     "PoIIndex",
     "CSRGraph",
     "csr_graph",
-    "csr_enabled",
-    "set_csr_enabled",
     "LandmarkIndex",
     "landmarks_for",
     "ExpansionCounters",

@@ -37,10 +37,10 @@ Beyond point-to-point, the pieces BSSR consumes directly:
   distances *to* one vertex, replacing the eager full reverse Dijkstra
   of destination queries.
 
-Like the CSR backend, the hierarchy is memoized per network
-(:func:`contraction_for`) and globally toggleable
+Like the CSR view, the hierarchy is memoized per network
+(:func:`contraction_for`); it is also globally toggleable
 (:func:`set_ch_enabled`, env ``REPRO_DISABLE_CH=1``) so benchmarks and
-CI can force either backend deterministically.
+CI can force the CH-free path deterministically.
 """
 
 from __future__ import annotations
@@ -69,9 +69,9 @@ _ENABLED = not os.environ.get("REPRO_DISABLE_CH")
 def set_ch_enabled(enabled: bool) -> bool:
     """Toggle CH usage globally; returns the previous setting.
 
-    Mirrors :func:`repro.graph.csr.set_csr_enabled`: an existing
-    hierarchy stays memoized, the toggle only gates whether searches
-    consult it (``BSSROptions.use_contraction`` must also be set).
+    An existing hierarchy stays memoized; the toggle only gates
+    whether searches consult it (``BSSROptions.use_contraction`` must
+    also be set).
     ``REPRO_DISABLE_CH=1`` in the environment seeds this to ``False``.
     """
     global _ENABLED

@@ -12,23 +12,20 @@ arrays per direction —
 
 using numpy arrays when numpy is installed (bulk/vectorized consumers,
 e.g. the ALT landmark tables) and :mod:`array` arrays otherwise.  The
-scalar Dijkstra kernels additionally read cached *python-list mirrors*
-of the same arrays: CPython list indexing beats both dict hashing and
-numpy scalar access in a tight interpreted loop, which is what makes
-the CSR kernels measurably faster than the dict-based originals
-(``BENCH_core_query.json`` tracks the delta).
+scalar Dijkstra kernels — the only search kernels of the library —
+additionally read cached *python-list mirrors* of the same arrays:
+CPython list indexing beats both dict hashing and numpy scalar access
+in a tight interpreted loop.
 
 Edge order within a vertex is exactly the insertion order of
-:meth:`RoadNetwork.add_edge`, so CSR-backed searches relax edges in the
-same sequence as ``network.neighbors(u)`` and produce **bit-identical**
-results (same heap pushes, same tie-breaks) — pinned by the property
-layer in ``tests/test_csr.py``.
+:meth:`RoadNetwork.add_edge`, so the kernels relax edges in the same
+sequence as ``network.neighbors(u)``: distances, predecessor trees and
+settle orders equal those of a textbook dict-based Dijkstra, which
+``tests/test_csr.py`` pins against a test oracle (``tests/oracle.py``).
 
 The CSR view is built lazily and memoized on the network instance; a
 structural mutation (new vertex or edge) invalidates the memo via a
-``(num_vertices, num_edges)`` token.  :func:`set_csr_enabled` toggles
-the whole backend globally — benchmarks use it to compare the dict and
-CSR paths on identical workloads.
+``(num_vertices, num_edges)`` token.
 """
 
 from __future__ import annotations
@@ -46,9 +43,6 @@ except ImportError:  # pragma: no cover - exercised via the fallback tests
     _np = None
 
 HAVE_NUMPY = _np is not None
-
-#: global backend switch (see :func:`set_csr_enabled`)
-_ENABLED = True
 
 #: vectorized-kernel switch — numpy presence, minus the CI kill switch
 _NUMPY_ENABLED = HAVE_NUMPY and not os.environ.get("REPRO_DISABLE_NUMPY")
@@ -73,24 +67,6 @@ def numpy_enabled() -> bool:
 
 #: python-list adjacency mirror: (num_vertices, indptr, indices, weights)
 FlatAdjacency = tuple[int, list[int], list[int], list[float]]
-
-
-def set_csr_enabled(enabled: bool) -> bool:
-    """Toggle the CSR backend globally; returns the previous setting.
-
-    With the backend disabled every Dijkstra flavor runs its original
-    dict-based implementation — the benchmark baseline.  Searches that
-    captured a backend at construction time keep it; the switch only
-    affects searches created afterwards.
-    """
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = bool(enabled)
-    return previous
-
-
-def csr_enabled() -> bool:
-    return _ENABLED
 
 
 class CSRGraph:
@@ -216,9 +192,7 @@ def csr_graph(network: "RoadNetwork") -> CSRGraph:
     """The (memoized) CSR view of ``network``.
 
     Rebuilt automatically when the network gained vertices or edges
-    since the last call; independent of :func:`set_csr_enabled`, so
-    index structures (e.g. landmarks) can use CSR arrays even while the
-    scalar kernels run the dict baseline.
+    since the last call.
     """
     cached: CSRGraph | None = getattr(network, "_csr_view", None)
     token = (network.num_vertices, network.num_edges)
@@ -231,15 +205,8 @@ def csr_graph(network: "RoadNetwork") -> CSRGraph:
 
 def flat_adjacency(
     network: "RoadNetwork", *, reverse: bool = False
-) -> FlatAdjacency | None:
-    """Python-list CSR mirror, or ``None`` when the backend is disabled.
-
-    This is the single dispatch point of every Dijkstra flavor: a
-    non-``None`` return selects the CSR kernel, ``None`` the original
-    dict-based implementation.
-    """
-    if not _ENABLED:
-        return None
+) -> FlatAdjacency:
+    """Python-list CSR mirror: the adjacency every Dijkstra flavor reads."""
     return csr_graph(network).flat(reverse=reverse)
 
 

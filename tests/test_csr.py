@@ -1,30 +1,25 @@
-"""CSR backend ≡ dict backend: the bit-identical property layer.
+"""CSR kernels ≡ the dict-based test oracle.
 
-The CSR kernels (:mod:`repro.graph.csr`) promise more than "same
-distances": they relax edges in the same order and break heap ties the
-same way as the dict-based originals, so settle sequences, predecessor
-trees, emitted candidate streams — and therefore engine-level routes,
-scores *and search statistics* — are identical.  These tests pin that
-contract at every layer, plus the early-termination and
-predecessor-skip behaviours of the reworked :func:`dijkstra`.
+The CSR kernels (:mod:`repro.graph.csr`, :mod:`repro.graph.dijkstra`)
+promise more than "same distances": they relax edges in adjacency
+order and break heap ties on ``(distance, vertex)``, exactly like the
+textbook dict Dijkstra of :mod:`tests.oracle`.  So settle sequences,
+predecessor trees, truncated minima and expansion counters all equal
+what the oracle derives.  Integer-weight grids make ties common, which
+is where a wrong tie-break would show.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 import random
-from contextlib import contextmanager
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.engine import SkySREngine
-from repro.graph.csr import (
-    csr_enabled,
-    csr_graph,
-    flat_adjacency,
-    set_csr_enabled,
-)
+from repro.core.search import PoICandidateSearch
+from repro.graph.csr import csr_graph, flat_adjacency
 from repro.graph.dijkstra import (
     ExpansionCounters,
     ResumableDijkstra,
@@ -35,29 +30,35 @@ from repro.graph.dijkstra import (
     shortest_path,
 )
 
-from .conftest import integer_grid, pick_query, random_instance, score_set
+from .conftest import integer_grid
+from .oracle import oracle_dijkstra
 
 
-@contextmanager
-def backend(enabled: bool):
-    prev = set_csr_enabled(enabled)
-    try:
-        yield
-    finally:
-        set_csr_enabled(prev)
+def _expected_min(network, sources, targets, radius, *, reverse=False):
+    """What :func:`multi_source_min_distance` must return, from the
+    oracle: the exact minimum when it lies below ``radius``; otherwise
+    ``radius`` if the search would reach that far, else ``inf``."""
+    dist, _, _ = oracle_dijkstra(network, sources, reverse=reverse)
+    exact = min((dist.get(t, math.inf) for t in targets), default=math.inf)
+    if exact < radius:
+        return exact
+    return radius if max(dist.values()) >= radius else math.inf
 
 
-def both_backends(fn, *args, **kwargs):
-    """Run ``fn`` under the CSR and the dict backend; return both."""
-    with backend(True):
-        flat = fn(*args, **kwargs)
-    with backend(False):
-        plain = fn(*args, **kwargs)
-    return flat, plain
+def _work_until(network, order, target=None):
+    """Settled/relaxed counts of a run over ``order`` that stops when
+    ``target`` settles (the target's own edges are not relaxed)."""
+    settled = relaxed = 0
+    for _, u in order:
+        settled += 1
+        if u == target:
+            break
+        relaxed += len(network.neighbors(u))
+    return settled, relaxed
 
 
 # ----------------------------------------------------------------------
-# function-level equality
+# function level
 
 
 @settings(deadline=None, max_examples=30)
@@ -66,144 +67,112 @@ def test_property_dijkstra_bit_identical(seed, directed):
     rng = random.Random(seed)
     net = integer_grid(4, 4, rng, directed=directed, extra_edges=4)
     source = rng.randrange(net.num_vertices)
-    flat, plain = both_backends(
-        dijkstra, net, source, with_predecessors=True
-    )
-    assert flat[0] == plain[0]  # distances
-    assert flat[1] == plain[1]  # the exact same shortest-path tree
+    dist, pred, _ = oracle_dijkstra(net, source)
+    assert dijkstra(net, source, with_predecessors=True) == (dist, pred)
+    assert dijkstra(net, source) == dist
     if directed:
-        flat_r, plain_r = both_backends(
-            dijkstra, net, source, reverse=True
-        )
-        assert flat_r == plain_r
+        rdist, rpred, _ = oracle_dijkstra(net, source, reverse=True)
+        assert dijkstra(
+            net, source, reverse=True, with_predecessors=True
+        ) == (rdist, rpred)
 
 
 @settings(deadline=None, max_examples=20)
-@given(seed=st.integers(0, 10_000))
-def test_property_bounded_and_multi_source_identical(seed):
+@given(seed=st.integers(0, 10_000), directed=st.booleans())
+def test_property_bounded_and_multi_source_identical(seed, directed):
     rng = random.Random(seed)
-    net = integer_grid(4, 4, rng, extra_edges=3)
+    net = integer_grid(4, 4, rng, directed=directed, extra_edges=3)
     source = rng.randrange(net.num_vertices)
     radius = float(rng.randint(1, 6))
-    assert both_backends(bounded_dijkstra, net, source, radius)[0] == (
-        both_backends(bounded_dijkstra, net, source, radius)[1]
-    )
+    dist, _, _ = oracle_dijkstra(net, source)
+    assert bounded_dijkstra(net, source, radius) == {
+        v: d for v, d in dist.items() if d < radius
+    }
+    assert bounded_dijkstra(net, source, math.inf) == dist
     sources = rng.sample(range(net.num_vertices), 3)
     targets = rng.sample(range(net.num_vertices), 3)
-    flat, plain = both_backends(
-        multi_source_min_distance, net, sources, targets, radius=radius
-    )
-    assert flat == plain
-    assert both_backends(eccentricity, net, source) == (
-        both_backends(eccentricity, net, source)
-    )
+    for reverse in (False, True):
+        for r in (radius, math.inf):
+            assert multi_source_min_distance(
+                net, sources, targets, radius=r, reverse=reverse
+            ) == _expected_min(net, sources, targets, r, reverse=reverse)
+        # counters force the scalar kernel even where numpy would sweep
+        assert multi_source_min_distance(
+            net,
+            sources,
+            targets,
+            reverse=reverse,
+            counters=ExpansionCounters(),
+        ) == _expected_min(net, sources, targets, math.inf, reverse=reverse)
+    assert eccentricity(net, source) == max(dist.values())
 
 
 def test_resumable_settle_sequence_identical():
     rng = random.Random(7)
     net = integer_grid(5, 5, rng, extra_edges=4)
-
-    def settle_all():
-        search = ResumableDijkstra(net, 0)
-        out = []
-        while not search.exhausted:
-            out.append(search.settle_next())
-        return out
-
-    flat, plain = both_backends(settle_all)
-    assert flat == plain  # same vertices, same order, same distances
+    dist, _, order = oracle_dijkstra(net, 0)
+    search = ResumableDijkstra(net, 0)
+    settled = []
+    while not search.exhausted:
+        settled.append(search.settle_next())
+    assert settled == order  # same vertices, same order, same distances
+    assert search.settle_next() is None
+    assert all(search.distance(v) == d for v, d in dist.items())
 
 
 def test_shortest_path_identical_including_work():
     rng = random.Random(8)
     net = integer_grid(5, 5, rng, extra_edges=2)
-
-    def run():
-        counters = ExpansionCounters()
-        dist, path = shortest_path(net, 0, 24, counters=counters)
-        return dist, path, counters.settled, counters.relaxed
-
-    flat, plain = both_backends(run)
-    assert flat == plain
+    dist, pred, order = oracle_dijkstra(net, 0)
+    path = [24]
+    while path[-1] != 0:
+        path.append(pred[path[-1]])
+    path.reverse()
+    counters = ExpansionCounters()
+    assert shortest_path(net, 0, 24, counters=counters) == (dist[24], path)
+    assert (counters.settled, counters.relaxed) == _work_until(
+        net, order, target=24
+    )
 
 
 # ----------------------------------------------------------------------
-# early termination + predecessor skip (the reworked dijkstra options)
+# early termination + predecessor skip
 
 
 def test_target_early_termination_settles_strictly_less():
     rng = random.Random(9)
     net = integer_grid(6, 6, rng, extra_edges=0)
     source, target = 0, 1  # adjacent: settles long before exhaustion
-    for enabled in (True, False):
-        with backend(enabled):
-            full = ExpansionCounters()
-            dijkstra(net, source, counters=full)
-            early = ExpansionCounters()
-            dist = dijkstra(net, source, target=target, counters=early)
-            assert early.settled < full.settled
-            # the settled target's label is final
-            exact = dijkstra(net, source)
-            assert dist[target] == exact[target]
+    exact, _, order = oracle_dijkstra(net, source)
+    full = ExpansionCounters()
+    dijkstra(net, source, counters=full)
+    assert (full.settled, full.relaxed) == _work_until(net, order)
+    early = ExpansionCounters()
+    dist = dijkstra(net, source, target=target, counters=early)
+    assert (early.settled, early.relaxed) == _work_until(
+        net, order, target=target
+    )
+    assert early.settled < full.settled
+    # the settled target's label is final
+    assert dist[target] == exact[target]
 
 
 def test_predecessor_skip_equivalence():
     rng = random.Random(10)
     net = integer_grid(4, 5, rng, extra_edges=3)
-    for enabled in (True, False):
-        with backend(enabled):
-            bare = dijkstra(net, 0)
-            dist, pred = dijkstra(net, 0, with_predecessors=True)
-            assert bare == dist
-            # every non-source predecessor edge closes the distance
-            for v, u in pred.items():
-                assert v != 0
-                assert u in dist
+    bare = dijkstra(net, 0)
+    dist, pred = dijkstra(net, 0, with_predecessors=True)
+    assert bare == dist
+    # every non-source predecessor edge closes the distance
+    for v, u in pred.items():
+        assert v != 0
+        assert u in dist
 
 
-# ----------------------------------------------------------------------
-# engine level: routes, scores and stats pop-for-pop
-
-
-@settings(deadline=None, max_examples=15)
-@given(seed=st.integers(0, 10_000))
-def test_property_engine_results_pop_for_pop(seed):
-    network, forest, rng = random_instance(seed)
-    picked = pick_query(network, forest, rng, 3)
-    if picked is None:
-        return
-    start, cats = picked
-
-    def run():
-        engine = SkySREngine(network, forest)
-        return engine.query(start, cats)
-
-    flat, plain = both_backends(run)
-    assert score_set(flat.routes) == score_set(plain.routes)
-    assert [r.pois for r in flat.routes] == [r.pois for r in plain.routes]
-    assert flat.stats.routes_expanded == plain.stats.routes_expanded
-    assert flat.stats.settled == plain.stats.settled
-    assert flat.stats.relaxed == plain.stats.relaxed
-
-
-def test_session_checkpoint_round_trips_across_backends():
-    network, forest, rng = random_instance(23)
-    picked = pick_query(network, forest, rng, 3)
-    assert picked is not None
-    start, cats = picked
-    with backend(True):
-        engine = SkySREngine(network, forest)
-        session = engine.session(start, cats, page_size=1)
-        first = list(session.next_page())
-        payload = session.dumps()
-    with backend(False):
-        plain_engine = SkySREngine(network, forest)
-        reference = plain_engine.session(start, cats, page_size=1)
-        assert score_set(reference.next_page()) == score_set(first)
-        restored = type(session).loads(plain_engine, payload)
-        assert score_set(restored.next_page()) == score_set(
-            reference.next_page()
-        )
+def test_candidate_stream_is_a_generator_function():
+    # consumers (and span recorders) rely on lazy, resumable streams
+    assert inspect.isgeneratorfunction(PoICandidateSearch.candidates_until)
+    assert inspect.isgeneratorfunction(PoICandidateSearch.scored_until)
 
 
 # ----------------------------------------------------------------------
@@ -221,15 +190,14 @@ def test_csr_view_memoized_and_invalidated():
     assert rebuilt.num_edges == net.num_edges
 
 
-def test_flat_adjacency_respects_toggle():
+def test_flat_adjacency_mirrors_neighbor_order():
     rng = random.Random(12)
-    net = integer_grid(2, 2, rng, extra_edges=0)
-    with backend(False):
-        assert not csr_enabled()
-        assert flat_adjacency(net) is None
-    with backend(True):
-        assert csr_enabled()
-        n, indptr, indices, weights = flat_adjacency(net)
+    net = integer_grid(3, 3, rng, directed=True, extra_edges=3)
+    for reverse, neighbors in (
+        (False, net.neighbors),
+        (True, net.in_neighbors),
+    ):
+        n, indptr, indices, weights = flat_adjacency(net, reverse=reverse)
         assert n == net.num_vertices
         assert len(indices) == len(weights) == indptr[-1]
         # edge order within a vertex is neighbors() order
@@ -238,4 +206,4 @@ def test_flat_adjacency_respects_toggle():
                 zip(indices[indptr[u] : indptr[u + 1]],
                     weights[indptr[u] : indptr[u + 1]])
             )
-            assert mirror == list(net.neighbors(u))
+            assert mirror == list(neighbors(u))

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import random
+from types import SimpleNamespace
+
 import pytest
 
-from repro.core.distcache import DistanceCache
+from repro.core.distcache import DistanceCache, _estimate_bytes
 from repro.core.engine import SkySREngine
 from repro.core.search import PoICandidateSearch
 from repro.core.spec import PositionSpec
@@ -113,7 +116,81 @@ def test_clear_resets_entries_but_keeps_stats():
     cache.admit(network, start, spec, PoICandidateSearch(network, spec, start))
     cache.clear()
     assert len(cache) == 0
+    assert cache.total_bytes == 0
     assert cache.stats.admissions == 1
+
+
+def test_byte_total_and_lru_victims_match_a_reference_model():
+    """Admit, re-admit, lookup, evict and clear in a random mix.
+
+    A list-based LRU model (least recently used first, re-summed sizes)
+    is the reference: after every step the cache holds the model's keys
+    in the model's recency order, so each admission's victims are the
+    LRU prefix; the running byte total equals the sum of the entry
+    sizes; and the eviction counter matches."""
+    network, start, compiled = _searches()
+    specs = compiled.specs
+    search_bytes = _estimate_bytes(
+        PoICandidateSearch(network, specs[0], start)
+    )
+    cache = DistanceCache(max_entries=5, max_bytes=3 * search_bytes)
+    order: list[tuple] = []
+    sizes: dict[tuple, int] = {}
+    evictions = 0
+
+    def model_admit(key, size):
+        nonlocal evictions
+        if size > cache.max_bytes:
+            return
+        if key in sizes:
+            order.remove(key)
+        order.append(key)
+        sizes[key] = size
+        while len(order) > 1 and (
+            len(order) > cache.max_entries
+            or sum(sizes.values()) > cache.max_bytes
+        ):
+            del sizes[order.pop(0)]
+            evictions += 1
+
+    def model_touch(key):
+        if key in sizes:
+            order.remove(key)
+            order.append(key)
+
+    rng = random.Random(5)
+    row_cap = 2 * search_bytes // 72
+    for _ in range(400):
+        roll = rng.random()
+        if roll < 0.45:  # admit or re-admit a CH bucket of random size
+            key = ("bucket", rng.randrange(8))
+            bucket = SimpleNamespace(pairs={0: [0] * rng.randrange(row_cap)})
+            model_admit(key, 72 * (2 + len(bucket.pairs[0])))
+            cache.admit_bucket(network, key, bucket)
+        elif roll < 0.6:  # admit or re-admit a live search
+            spec = rng.choice(specs)
+            search = PoICandidateSearch(network, spec, start)
+            model_admit((start, spec.share_key), _estimate_bytes(search))
+            cache.admit(network, start, spec, search)
+        elif roll < 0.8:
+            key = ("bucket", rng.randrange(8))
+            model_touch(key)
+            cache.lookup_bucket(network, key)
+        elif roll < 0.97:
+            spec = rng.choice(specs)
+            model_touch((start, spec.share_key))
+            cache.lookup(network, start, spec)
+        else:
+            order.clear()
+            sizes.clear()
+            cache.clear()
+        assert list(cache._entries) == order
+        assert cache.total_bytes == sum(sizes.values())
+        assert cache.total_bytes == sum(
+            entry.size for entry in cache._entries.values()
+        )
+        assert cache.stats.evictions == evictions
+    assert evictions > 0
 
 
 def test_warm_engine_hits_cache_and_answers_identically():

@@ -31,6 +31,7 @@ from repro.core.engine import SkySREngine
 from repro.core.options import BSSROptions
 from repro.core.serialize import SCHEMA_VERSION
 from repro.core.session import PlanningSession
+from repro.datasets.presets import mini_city
 from repro.errors import (
     AdmissionError,
     QueryError,
@@ -40,11 +41,15 @@ from repro.errors import (
     SessionNotFoundError,
 )
 from repro.graph.io import save_dataset
+from repro.service import API_VERSION, SessionApi, SkySRService
 from repro.store import DiskSessionStore, InMemorySessionStore
 
 from .conftest import pick_query, random_instance
 
 PAGES = 4
+
+#: a stored /v1 session checkpoint (schema version 1), kept as written
+CHECKPOINT_FIXTURE = Path(__file__).parent / "data" / "session_v1_mini_k2.json"
 
 
 def page_fingerprint(page):
@@ -153,6 +158,43 @@ def test_restored_resume_beats_fresh_recompute(seed):
         pytest.skip("instance exhausted on page 1 — no resume work to save")
     fresh = engine.query(start, cats, options=BSSROptions().but(k=4))
     assert page2.stats.routes_expanded < fresh.stats.routes_expanded
+
+
+def test_committed_v1_checkpoint_pages_like_a_fresh_engine():
+    """A ``/v1`` checkpoint written by an earlier release still restores.
+
+    ``tests/data/session_v1_mini_k2.json`` is the stored payload of a
+    ``/v1`` session on the ``mini`` preset with ``page_size`` 2 after
+    one page — cached candidate searches included.  It re-encodes to
+    the same bytes, and restored through the API its next pages
+    continue the ranking of a fresh engine's one-shot top-k."""
+    text = CHECKPOINT_FIXTURE.read_text()
+    payload = json.loads(text)
+    assert payload["version"] == SCHEMA_VERSION == 1
+    city = mini_city()
+    api = SessionApi(SkySRService(city), InMemorySessionStore())
+    restored = PlanningSession.from_dict(api.service.engine, payload)
+    assert json.dumps(restored.to_dict()) == text
+    api.store.put("fixture", payload)
+    served = [
+        (tuple(r["pois"]), r["length"]) for r in payload["served"]
+    ]
+    for number in (2, 3):
+        response = api.dispatch(
+            "POST", f"/{API_VERSION}/sessions/fixture/pages"
+        )
+        assert response.status == 200
+        assert response.body["page"] == number
+        assert response.body["first_rank"] == len(served) + 1
+        served += [
+            (tuple(card["pois"]), card["distance"])
+            for card in response.body["routes"]
+        ]
+    query = payload["query"]
+    fresh = SkySREngine(city.network, city.forest).query(
+        query["start"], query["categories"], options=BSSROptions(k=6)
+    )
+    assert served == [(r.pois, r.length) for r in fresh.topk(6)]
 
 
 def test_unstarted_session_round_trip():
