@@ -52,6 +52,8 @@ def osr_dijkstra(
     if any(not s for s in sets):
         return None
     serial = itertools.count()
+    # No shared kernel fits: this searches the layered (vertex, layer)
+    # product graph, not the road network.
     # (distance, tiebreak, vertex, layer, matched PoI route).  Every
     # entry owns its route *by value* (list copy), mirroring the
     # reference implementation's std::vector-in-priority-queue layout —

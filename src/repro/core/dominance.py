@@ -155,6 +155,23 @@ class SkybandSet:
         """Members sorted by length ascending (semantic ascending)."""
         return list(self._entries)
 
+    def restore(self, members: list[SkylineRoute]) -> None:
+        """Reinstate a member list as :meth:`routes` returned it.
+
+        Equivalent to replaying ``members`` through :meth:`update` in
+        order — a valid member list sorts strictly by score, and no
+        member can evict or reject one before it — without the
+        quadratic dominance scans.
+        """
+        keys = [(route.length, route.semantic) for route in members]
+        if any(a >= b for a, b in zip(keys, keys[1:])):
+            raise ValueError(
+                "skyband members must be strictly sorted by "
+                "(length, semantic)"
+            )
+        self._keys = keys
+        self._entries = list(members)
+
     def ranked(self, k: int | None = None) -> list[SkylineRoute]:
         """Members ranked for presentation (see :func:`rank_routes`)."""
         return rank_routes(self._entries, k)

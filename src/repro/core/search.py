@@ -114,7 +114,6 @@ class PoICandidateSearch:
         "_dist",
         "_path_sim",
         "_settled",
-        "_touched",
         "_heap",
         "candidates",
         "radius",
@@ -142,10 +141,7 @@ class PoICandidateSearch:
         # shortest path from the source (Lemma 5.5 i)
         self._path_sim = [0.0] * n
         self._settled = bytearray(n)
-        # vertices whose labels went finite, in discovery order; a
-        # resume reads only the settled flag of settled ones, so
-        # checkpoints keep their labels out (see to_dict)
-        self._touched = [source]
+        # every reached, unsettled vertex v has a (dist[v], v) entry
         self._heap: list[tuple[float, int]] = [(0.0, source)]
         #: emitted candidates ``(distance, vid, similarity)`` in distance order
         self.candidates: list[tuple[float, int, float]] = []
@@ -218,11 +214,9 @@ class PoICandidateSearch:
         path_sims = self._path_sim
         settled = self._settled
         heap = self._heap
-        touched = self._touched
         candidates = self.candidates
         push = heapq.heappush
         pop = heapq.heappop
-        inf = math.inf
         i = start
         while True:
             limit = budget_fn()
@@ -274,8 +268,6 @@ class PoICandidateSearch:
                     nd = d + weights[j]
                     old = dist[v]
                     if nd < old:
-                        if old == inf:
-                            touched.append(v)
                         dist[v] = nd
                         path_sims[v] = through
                         push(heap, (nd, v))
@@ -325,16 +317,20 @@ class PoICandidateSearch:
     # ------------------------------------------------------------------
 
     def to_dict(self) -> dict:
-        """JSON-compatible snapshot of a *cached* search.
+        """Packed snapshot of a *cached* search (see
+        :mod:`repro.core.columns`).
 
         Only route-independent instances are cacheable (BSSR builds
         throw-away searches for per-route exclusions), so an exclusion
         set here means the caller is serializing something that should
         never have reached a durable checkpoint.
 
-        Live labels and settled vertices are emitted sorted by vertex
-        id, so the payload does not depend on discovery order.
+        Written: the live (reached, unsettled) vertices sorted by id
+        with their labels, the settled flags, and the emitted candidate
+        stream.  Settled labels are never read again and the heap is
+        derived from the live labels, so neither is shipped.
         """
+        from repro.core.columns import FLOAT64, INT32, pack, pack_flags
         from repro.errors import SessionEncodeError
 
         if self._exclude:
@@ -343,15 +339,20 @@ class PoICandidateSearch:
                 "route-local and cannot be checkpointed"
             )
         settled = self._settled
-        live = sorted(v for v in self._touched if not settled[v])
+        dist = self._dist
+        path_sim = self._path_sim
+        live = sorted({v for _, v in self._heap if not settled[v]})
+        candidates = self.candidates
         return {
             "source": self.source,
-            "dist": [[v, self._dist[v]] for v in live],
-            "path_sim": [[v, self._path_sim[v]] for v in live],
-            "settled": sorted(v for v in self._touched if settled[v]),
-            "heap": [[d, v] for d, v in self._heap],
-            "candidates": [[d, v, s] for d, v, s in self.candidates],
             "radius": self.radius,
+            "live": pack(INT32, live),
+            "dist": pack(FLOAT64, [dist[v] for v in live]),
+            "path_sim": pack(FLOAT64, [path_sim[v] for v in live]),
+            "settled": pack_flags(settled),
+            "cand_dist": pack(FLOAT64, [c[0] for c in candidates]),
+            "cand_vertex": pack(INT32, [c[1] for c in candidates]),
+            "cand_sim": pack(FLOAT64, [c[2] for c in candidates]),
         }
 
     @classmethod
@@ -362,36 +363,87 @@ class PoICandidateSearch:
         spec: PositionSpec,
         *,
         stats: SearchStats | None = None,
+        where: str = "search",
     ) -> "PoICandidateSearch":
         """Rebuild a cached search exactly: same frontier, same settled
         set, same emitted candidate stream (hence the same deterministic
-        ``candidates_until`` replay offsets)."""
-        search = cls(network, spec, int(payload["source"]), stats=stats)
-        n = search._flat[0]
-        dist = [math.inf] * n
-        path_sim = [0.0] * n
-        settled = bytearray(n)
-        touched: list[int] = []
-        for v, d in payload["dist"]:
-            v = int(v)
-            dist[v] = float(d)
-            touched.append(v)
-        for v, s in payload["path_sim"]:
-            path_sim[int(v)] = float(s)
-        for v in payload["settled"]:
-            # settled labels were dropped at checkpoint time; the
-            # settled flag alone is what resumes consult
-            v = int(v)
-            settled[v] = 1
-            touched.append(v)
-        search._dist = dist
-        search._path_sim = path_sim
+        ``candidates_until`` replay offsets).
+
+        The heap is rebuilt as ``(dist[v], v)`` over the live vertices.
+        It pops the same sequence as the checkpointed heap: that heap's
+        other entries were stale — they belonged to settled vertices,
+        which :meth:`_skim` drops, or sorted behind the same vertex's
+        live entry, which settles it first.  Malformed columns raise
+        :class:`~repro.errors.SessionDecodeError` naming
+        ``<where>.<column>``.
+        """
+        from repro.core.columns import (
+            FLOAT64,
+            INT32,
+            check_ids,
+            check_lengths,
+            unpack_column,
+            unpack_flags,
+        )
+        from repro.errors import SessionDecodeError
+
+        def column(name: str, typecode: str):
+            return unpack_column(payload, name, typecode, where=where)
+
+        n = flat_adjacency(network)[0]
+        source = payload.get("source")
+        if isinstance(source, bool) or not isinstance(source, int) or not (
+            0 <= source < n
+        ):
+            raise SessionDecodeError(
+                f"{where}.source must be a vertex of [0, {n}), got {source!r}",
+                field=f"{where}.source",
+            )
+        radius = payload.get("radius")
+        if isinstance(radius, bool) or not isinstance(radius, (int, float)):
+            raise SessionDecodeError(
+                f"{where}.radius must be a number, got {radius!r}",
+                field=f"{where}.radius",
+            )
+        live = column("live", INT32)
+        dists = column("dist", FLOAT64)
+        sims = column("path_sim", FLOAT64)
+        check_lengths(
+            {"live": live, "dist": dists, "path_sim": sims}, where=where
+        )
+        check_ids(live, n, field=f"{where}.live")
+        settled = unpack_flags(
+            payload.get("settled"), n, field=f"{where}.settled"
+        )
+        if any(map(settled.__getitem__, live)):
+            raise SessionDecodeError(
+                f"{where} lists a settled vertex as live",
+                field=f"{where}.settled",
+            )
+        cand_dist = column("cand_dist", FLOAT64)
+        cand_vertex = column("cand_vertex", INT32)
+        cand_sim = column("cand_sim", FLOAT64)
+        check_lengths(
+            {
+                "cand_dist": cand_dist,
+                "cand_vertex": cand_vertex,
+                "cand_sim": cand_sim,
+            },
+            where=where,
+        )
+        check_ids(cand_vertex, n, field=f"{where}.cand_vertex")
+
+        search = cls(network, spec, source, stats=stats)
+        dist = search._dist
+        path_sim = search._path_sim
+        dist[source] = math.inf  # settled labels are not restored
+        for v, d, s in zip(live, dists, sims):
+            dist[v] = d
+            path_sim[v] = s
+        heap = list(zip(dists, live))
+        heapq.heapify(heap)
+        search._heap = heap
         search._settled = settled
-        search._touched = touched
-        search._heap = [(float(d), int(v)) for d, v in payload["heap"]]
-        heapq.heapify(search._heap)
-        search.candidates = [
-            (float(d), int(v), float(s)) for d, v, s in payload["candidates"]
-        ]
-        search.radius = float(payload["radius"])
+        search.candidates = list(zip(cand_dist, cand_vertex, cand_sim))
+        search.radius = float(radius)
         return search

@@ -9,11 +9,31 @@ deferred work, priority queue, lower bounds, modified-Dijkstra caches)
 persisted by a :mod:`repro.store` backend, restored in a *different
 process*, and resumed as if nothing happened.
 
+Layout (schema version 2).  The small parts — query, options, pages,
+served routes, bounds — are ordinary JSON fields.  The bulky parts are
+packed binary columns (:mod:`repro.core.columns`): base64 text of
+fixed-width little-endian arrays, int32 for vertex ids and lengths,
+int64 for serials and stream offsets, float64 for distances and
+scores.
+
+* each route list (``archive``, ``skyband``, ``deferred``, ``queue``)
+  is one column block: per-route ``pois``/``sims`` lengths, the flat
+  ``pois`` and ``sims``, ``length`` and ``semantic``, and for partial
+  routes ``serial`` and ``consumed`` (plus the queue's own
+  ``queue_serial``);
+* each cached candidate search writes its live vertices with their
+  labels, its settled flags (zlib-compressed) and its candidate stream
+  as three columns — see :meth:`PoICandidateSearch.to_dict
+  <repro.core.search.PoICandidateSearch.to_dict>`.
+
 Exactness is the contract, and the test layer
 (``tests/test_session_store.py``) holds it to byte-identical output:
 
-* floats survive unchanged (:func:`json.dumps` emits Python's
-  shortest-round-trip ``repr``);
+* floats are their IEEE-754 bytes, so they survive bit for bit
+  (``inf`` included) — no decimal round trip;
+* a cached search's heap is not shipped but derived from its live
+  labels, which pops the same sequence (the shipped heap's other
+  entries were stale);
 * a partial route's incremental aggregator state is *rebuilt* by
   replaying its similarity vector through the aggregator — the same
   ``extend`` sequence BSSR originally executed, hence bit-identical;
@@ -23,13 +43,16 @@ Exactness is the contract, and the test layer
 * the skyband is restored member-for-member (not re-derived), so even
   equal-score representatives are preserved.
 
-Schema versioning is strict: every payload carries ``format`` and
-``version`` fields, and :func:`session_from_dict` rejects unknown
-versions and malformed fields with a typed
-:class:`~repro.errors.SessionDecodeError` naming the offending field —
-never a bare ``KeyError``/``TypeError``.  Forward compatibility is
-rejection, not guessing: a payload written by a newer schema is refused
-instead of half-read.
+Decoding is strict: every payload carries ``format`` and ``version``
+fields, and :func:`session_from_dict` rejects unknown versions and
+malformed fields — bad base64, truncated columns, columns of
+mismatched length, lengths that do not add up, vertex ids outside the
+network — with a typed :class:`~repro.errors.SessionDecodeError`
+naming the offending field, never a bare ``KeyError``/``TypeError``.
+A payload written by a newer schema is refused instead of half-read.
+Version 1 payloads (JSON lists throughout) are upgraded on read by
+:func:`upgrade_v1`, a pure dict-to-dict function, then decoded by the
+one version-2 path.
 
 What is deliberately *not* serialized:
 
@@ -46,6 +69,16 @@ import json
 from typing import TYPE_CHECKING, Callable
 
 from repro.core.bounds import LowerBounds
+from repro.core.columns import (
+    FLOAT64,
+    INT32,
+    INT64,
+    check_ids,
+    check_lengths,
+    pack,
+    pack_flags,
+    unpack_column,
+)
 from repro.core.options import BSSROptions
 from repro.core.routes import PartialRoute, SkylineRoute
 from repro.core.search import PoICandidateSearch
@@ -69,7 +102,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guards
 SESSION_FORMAT = "repro-skysr-session"
 
 #: current schema version; bump on any incompatible payload change
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _MISSING = object()
 
@@ -151,18 +184,6 @@ def route_from_dict(payload: dict, *, where: str = "route") -> SkylineRoute:
     )
 
 
-def _partial_to_dict(route: PartialRoute) -> dict:
-    # ``sem_state`` is omitted: it is a pure function of the similarity
-    # vector and the aggregator, and is replayed bit-exactly on restore.
-    return {
-        "pois": list(route.pois),
-        "length": route.length,
-        "semantic": route.semantic,
-        "sims": list(route.sims),
-        "serial": route.serial,
-    }
-
-
 def _replay_sem_state(
     aggregator: SemanticAggregator, n: int, sims: tuple[float, ...]
 ):
@@ -170,27 +191,6 @@ def _replay_sem_state(
     for sim in sims:
         state = aggregator.extend(state, sim)
     return state
-
-
-def _partial_from_dict(
-    payload: dict,
-    aggregator: SemanticAggregator,
-    n: int,
-    *,
-    where: str = "partial",
-) -> PartialRoute:
-    def rebuild() -> PartialRoute:
-        sims = tuple(float(s) for s in payload["sims"])
-        return PartialRoute(
-            pois=tuple(int(p) for p in payload["pois"]),
-            length=float(payload["length"]),
-            semantic=float(payload["semantic"]),
-            sem_state=_replay_sem_state(aggregator, n, sims),
-            sims=sims,
-            serial=int(payload["serial"]),
-        )
-
-    return _decoding(where, rebuild)
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +238,140 @@ def bounds_from_dict(payload: dict | None) -> LowerBounds | None:
 
 
 # ---------------------------------------------------------------------------
+# route lists as column blocks
+
+
+def _routes_block(
+    pois: list, sims: list, lengths: list, semantics: list, **int64_columns
+) -> dict:
+    """One column block for a list of routes given field by field.
+
+    Per-route ``pois``/``sims`` lengths locate each route inside the
+    flat ``pois``/``sims`` columns; ``int64_columns`` (serials and
+    stream offsets of partial routes) ride along one value per route.
+    """
+    block = {
+        "pois_len": pack(INT32, [len(p) for p in pois]),
+        "sims_len": pack(INT32, [len(s) for s in sims]),
+        "pois": pack(INT32, [p for seq in pois for p in seq]),
+        "sims": pack(FLOAT64, [x for seq in sims for x in seq]),
+        "length": pack(FLOAT64, lengths),
+        "semantic": pack(FLOAT64, semantics),
+    }
+    for name, values in int64_columns.items():
+        block[name] = pack(INT64, values)
+    return block
+
+
+def _encode_routes(routes, **int64_columns) -> dict:
+    routes = list(routes)
+    return _routes_block(
+        [r.pois for r in routes],
+        [r.sims for r in routes],
+        [r.length for r in routes],
+        [r.semantic for r in routes],
+        **int64_columns,
+    )
+
+
+def _encode_partials(routes: list, consumed: list, **int64_columns) -> dict:
+    return _encode_routes(
+        routes,
+        serial=[r.serial for r in routes],
+        consumed=consumed,
+        **int64_columns,
+    )
+
+
+def _decode_block(
+    state_payload: dict, name: str, num_vertices: int, int64_names=()
+) -> tuple[list, list, dict]:
+    """Unpack and validate one route block of ``search.state``.
+
+    Returns the per-route ``pois`` and ``sims`` tuples and the
+    per-route scalar columns by name.  Mismatched column lengths,
+    lengths that do not add up and vertex ids outside the network
+    raise :class:`SessionDecodeError` naming
+    ``search.state.<name>.<column>``.
+    """
+    block = _require(state_payload, name, dict, where="search.state")
+    where = f"search.state.{name}"
+    per_route = {
+        key: unpack_column(block, key, typecode, where=where)
+        for key, typecode in (
+            ("pois_len", INT32),
+            ("sims_len", INT32),
+            ("length", FLOAT64),
+            ("semantic", FLOAT64),
+            *((key, INT64) for key in int64_names),
+        )
+    }
+    check_lengths(per_route, where=where)
+    pois = unpack_column(block, "pois", INT32, where=where).tolist()
+    sims = unpack_column(block, "sims", FLOAT64, where=where).tolist()
+    check_ids(pois, num_vertices, field=f"{where}.pois")
+    out_pois, out_sims = [], []
+    for key, flat, out in (
+        ("pois_len", pois, out_pois),
+        ("sims_len", sims, out_sims),
+    ):
+        counts = per_route[key]
+        if (counts and min(counts) < 0) or sum(counts) != len(flat):
+            raise SessionDecodeError(
+                f"{where}.{key} does not add up to the "
+                f"{len(flat)} items of its flat column",
+                field=f"{where}.{key}",
+            )
+        at = 0
+        for count in counts:
+            out.append(tuple(flat[at : at + count]))
+            at += count
+    return out_pois, out_sims, {key: col.tolist() for key, col in per_route.items()}
+
+
+def _decode_routes(
+    state_payload: dict, name: str, num_vertices: int
+) -> list[SkylineRoute]:
+    pois, sims, cols = _decode_block(state_payload, name, num_vertices)
+    return [
+        SkylineRoute(pois=p, length=length, semantic=semantic, sims=s)
+        for p, s, length, semantic in zip(
+            pois, sims, cols["length"], cols["semantic"]
+        )
+    ]
+
+
+def _decode_partials(
+    state_payload: dict,
+    name: str,
+    num_vertices: int,
+    aggregator: SemanticAggregator,
+    n: int,
+    int64_names=(),
+) -> tuple[list[PartialRoute], dict]:
+    pois, sims, cols = _decode_block(
+        state_payload,
+        name,
+        num_vertices,
+        ("serial", "consumed", *int64_names),
+    )
+    routes = [
+        PartialRoute(
+            pois=p,
+            length=length,
+            semantic=semantic,
+            sem_state=_replay_sem_state(aggregator, n, s),
+            sims=s,
+            serial=serial,
+        )
+        for p, s, length, semantic, serial in zip(
+            pois, sims, cols["length"], cols["semantic"], cols["serial"]
+        )
+    ]
+    return routes, cols
+
+
+# ---------------------------------------------------------------------------
 # the checkpointed search
 
 
@@ -257,20 +391,17 @@ def search_to_dict(search: "BSSRSearch") -> dict:
             "k": state.k,
             "serial": state.serial,
             "resumes": state.resumes,
-            "archive": [route_to_dict(r) for r in state.archive.values()],
-            "skyband": [route_to_dict(r) for r in state.skyband.routes()],
-            "deferred": [
-                {"route": _partial_to_dict(d.route), "consumed": d.consumed}
-                for d in state.deferred
-            ],
-            "queue": [
-                {
-                    "serial": serial,
-                    "route": _partial_to_dict(route),
-                    "consumed": consumed,
-                }
-                for (_priority, serial, route, consumed) in state.queue
-            ],
+            "archive": _encode_routes(state.archive.values()),
+            "skyband": _encode_routes(state.skyband.routes()),
+            "deferred": _encode_partials(
+                [d.route for d in state.deferred],
+                [d.consumed for d in state.deferred],
+            ),
+            "queue": _encode_partials(
+                [entry[2] for entry in state.queue],
+                [entry[3] for entry in state.queue],
+                queue_serial=[entry[1] for entry in state.queue],
+            ),
             "bounds": bounds_to_dict(state.bounds),
             "cache": [
                 {"source": source, "position": position, "search": cs.to_dict()}
@@ -320,6 +451,7 @@ def search_from_dict(
     state_payload = _require(payload, "state", dict, where="search")
     state = search.state
     n = query.size
+    num_vertices = network.num_vertices
 
     state.k = _require(state_payload, "k", int, where="search.state")
     state.serial = _require(state_payload, "serial", int, where="search.state")
@@ -327,61 +459,46 @@ def search_from_dict(
         state_payload, "resumes", int, where="search.state"
     )
 
-    archive_routes = [
-        route_from_dict(entry, where="search.state.archive")
-        for entry in _require(
-            state_payload, "archive", list, where="search.state"
-        )
-    ]
-    state.archive = {route.pois: route for route in archive_routes}
+    state.archive = {
+        route.pois: route
+        for route in _decode_routes(state_payload, "archive", num_vertices)
+    }
 
-    # Restore the skyband member-for-member (in its stored length-sorted
-    # order) instead of re-deriving it from the archive: replaying the
-    # final member list through update() reproduces the exact internal
-    # entry list, including equal-score representatives.
+    # Restore the skyband member-for-member (in its stored score-sorted
+    # order) instead of re-deriving it from the archive, so even
+    # equal-score representatives are the original ones.
+    members = _decode_routes(state_payload, "skyband", num_vertices)
+    for route in members:
+        state.archive.setdefault(route.pois, route)
     band = _ArchivingSkyband(state.k, state.archive)
-    for entry in _require(state_payload, "skyband", list, where="search.state"):
-        band.update(route_from_dict(entry, where="search.state.skyband"))
-    band.updates = 0
-    band.rejects = 0
+    _decoding("search.state.skyband", lambda: band.restore(members))
     state.skyband = band
 
+    routes, cols = _decode_partials(
+        state_payload, "deferred", num_vertices, aggregator, n
+    )
     state.deferred = [
-        _Deferred(
-            route=_partial_from_dict(
-                _require(entry, "route", dict, where="search.state.deferred"),
-                aggregator,
-                n,
-                where="search.state.deferred",
-            ),
-            consumed=_require(
-                entry, "consumed", int, where="search.state.deferred"
-            ),
-        )
-        for entry in _require(
-            state_payload, "deferred", list, where="search.state"
-        )
+        _Deferred(route=route, consumed=consumed)
+        for route, consumed in zip(routes, cols["consumed"])
     ]
 
     # Queue priorities are a pure function of the route under the
     # configured policy; the serial tiebreak makes the heap order total,
     # so recomputing them restores the exact pop sequence.
-    queue = []
-    for entry in _require(state_payload, "queue", list, where="search.state"):
-        route = _partial_from_dict(
-            _require(entry, "route", dict, where="search.state.queue"),
-            aggregator,
-            n,
-            where="search.state.queue",
+    routes, cols = _decode_partials(
+        state_payload,
+        "queue",
+        num_vertices,
+        aggregator,
+        n,
+        ("queue_serial",),
+    )
+    queue = [
+        (search._priority(route), serial, route, consumed)
+        for route, serial, consumed in zip(
+            routes, cols["queue_serial"], cols["consumed"]
         )
-        queue.append(
-            (
-                search._priority(route),
-                _require(entry, "serial", int, where="search.state.queue"),
-                route,
-                _require(entry, "consumed", int, where="search.state.queue"),
-            )
-        )
+    ]
     heapq.heapify(queue)
     state.queue = queue
 
@@ -403,10 +520,11 @@ def search_from_dict(
 
         def rebuild(entry=entry, position=position):
             return PoICandidateSearch.from_dict(
-                entry["search"],
+                _require(entry, "search", dict, where="search.state.cache"),
                 network,
                 query.specs[position],
                 stats=search.stats,
+                where="search.state.cache",
             )
 
         cache[(source, position)] = _decoding("search.state.cache", rebuild)
@@ -423,6 +541,98 @@ def search_from_dict(
     if search._started and query.destination is not None:
         state.dest_dist = search._make_dest_dist()
     return search
+
+
+# ---------------------------------------------------------------------------
+# upgrading schema version 1 payloads
+
+
+def _v1_routes_block(entries: list, **int64_columns) -> dict:
+    return _routes_block(
+        [entry["pois"] for entry in entries],
+        [entry["sims"] for entry in entries],
+        [entry["length"] for entry in entries],
+        [entry["semantic"] for entry in entries],
+        **int64_columns,
+    )
+
+
+def _v1_partials_block(entries: list, **int64_columns) -> dict:
+    routes = [entry["route"] for entry in entries]
+    return _v1_routes_block(
+        routes,
+        serial=[route["serial"] for route in routes],
+        consumed=[entry["consumed"] for entry in entries],
+        **int64_columns,
+    )
+
+
+def _v1_cached_search(search: dict) -> dict:
+    live = [v for v, _ in search["dist"]]
+    if [v for v, _ in search["path_sim"]] != live:
+        raise ValueError("dist and path_sim list different vertices")
+    settled_ids = search["settled"]
+    if settled_ids and min(settled_ids) < 0:
+        raise ValueError("negative settled vertex id")
+    flags = bytearray(max(settled_ids) + 1 if settled_ids else 0)
+    for v in settled_ids:
+        flags[v] = 1
+    candidates = search["candidates"]
+    # the v1 heap is dropped: the decoder derives it from the live labels
+    return {
+        "source": search["source"],
+        "radius": search["radius"],
+        "live": pack(INT32, live),
+        "dist": pack(FLOAT64, [d for _, d in search["dist"]]),
+        "path_sim": pack(FLOAT64, [s for _, s in search["path_sim"]]),
+        "settled": pack_flags(flags),
+        "cand_dist": pack(FLOAT64, [c[0] for c in candidates]),
+        "cand_vertex": pack(INT32, [c[1] for c in candidates]),
+        "cand_sim": pack(FLOAT64, [c[2] for c in candidates]),
+    }
+
+
+def upgrade_v1(payload: dict) -> dict:
+    """A schema-version-1 session payload in the version-2 layout.
+
+    Version 1 wrote route lists and cached searches as JSON lists of
+    scalars; this repacks them into columns and leaves every other
+    field alone.  A pure dict -> dict function (the input is not
+    modified) and the only code that knows version 1: once no stored
+    payload is older than version 2 it can be deleted.
+    """
+    search = _require(payload, "search", dict)
+    state = _require(search, "state", dict, where="search")
+    upgraded = dict(state)
+    for name in ("archive", "skyband"):
+        entries = _require(state, name, list, where="search.state")
+        upgraded[name] = _decoding(
+            f"search.state.{name}", lambda: _v1_routes_block(entries)
+        )
+    deferred = _require(state, "deferred", list, where="search.state")
+    upgraded["deferred"] = _decoding(
+        "search.state.deferred", lambda: _v1_partials_block(deferred)
+    )
+    queue = _require(state, "queue", list, where="search.state")
+    upgraded["queue"] = _decoding(
+        "search.state.queue",
+        lambda: _v1_partials_block(
+            queue, queue_serial=[entry["serial"] for entry in queue]
+        ),
+    )
+    cache = _require(state, "cache", list, where="search.state")
+    upgraded["cache"] = _decoding(
+        "search.state.cache",
+        lambda: [
+            {**entry, "search": _v1_cached_search(entry["search"])}
+            for entry in cache
+        ],
+    )
+    return {
+        **payload,
+        "version": 2,
+        "search": {**search, "state": upgraded},
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -517,10 +727,12 @@ def session_from_dict(
             field="format",
         )
     version = _require(payload, "version", int)
-    if version != SCHEMA_VERSION:
+    if version == 1:
+        payload = upgrade_v1(payload)
+    elif version != SCHEMA_VERSION:
         raise SessionDecodeError(
             f"unsupported session schema version {version}; this library "
-            f"reads version {SCHEMA_VERSION} only (forward-compatible "
+            f"reads versions 1 to {SCHEMA_VERSION} (forward-compatible "
             "payloads are rejected, not guessed at)",
             field="version",
         )

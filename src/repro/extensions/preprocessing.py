@@ -74,6 +74,8 @@ class TreePairDistanceIndex:
         for trees in membership.values():
             remaining.update(trees)
         remaining.discard(tree)
+        # No shared kernel fits: the sweep reads tree membership at each
+        # settle and stops once every other tree is reached.
         dist: dict[int, float] = {}
         heap: list[tuple[float, int]] = []
         for vid in sources:

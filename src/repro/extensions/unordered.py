@@ -30,7 +30,7 @@ from repro.core.dominance import SkylineSet, skyline_filter
 from repro.core.routes import PartialRoute, SkylineRoute
 from repro.core.spec import CompiledQuery
 from repro.core.stats import SearchStats
-from repro.graph.dijkstra import dijkstra
+from repro.graph.dijkstra import ResumableDijkstra, dijkstra
 from repro.graph.road_network import RoadNetwork
 from repro.semantics.scoring import DEFAULT_AGGREGATOR, SemanticAggregator
 
@@ -68,6 +68,8 @@ def run_unordered_skysr(
 
     def expand(route: PartialRoute, open_positions: frozenset[int]) -> None:
         source = route.pois[-1] if route.pois else query.start
+        # No shared kernel fits: the threshold is re-read before every
+        # settle and each settle branches into route extensions.
         dist: dict[int, float] = {source: 0.0}
         local_heap: list[tuple[float, int]] = [(0.0, source)]
         settled: set[int] = set()
@@ -161,15 +163,10 @@ def _greedy_seed(
     sims: list[float] = []
     state = aggregator.initial(n)
     while open_positions:
-        dist: dict[int, float] = {source: 0.0}
-        heap: list[tuple[float, int]] = [(0.0, source)]
-        settled: set[int] = set()
+        search = ResumableDijkstra(network, source)
         found: tuple[float, int, int] | None = None
-        while heap:
-            d, u = heapq.heappop(heap)
-            if u in settled:
-                continue
-            settled.add(u)
+        while (step := search.settle_next()) is not None:
+            d, u = step
             stats.settled += 1
             if u not in pois:
                 hit = next(
@@ -183,11 +180,6 @@ def _greedy_seed(
                 if hit is not None:
                     found = (d, u, hit)
                     break
-            for v, w in network.neighbors(u):
-                nd = d + w
-                if nd < dist.get(v, math.inf):
-                    dist[v] = nd
-                    heapq.heappush(heap, (nd, v))
         if found is None:
             return  # some position lacks a reachable perfect match
         d, u, position = found

@@ -24,10 +24,10 @@ shipped ones.  The ``clock`` is injectable for deterministic TTL tests.
 
 from __future__ import annotations
 
-import itertools
 import json
 import time
 from abc import ABC, abstractmethod
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -64,7 +64,6 @@ class _Entry:
 
     size: int
     stored_at: float
-    last_used: int  # recency serial, not wall clock (no tie ambiguity)
 
 
 @dataclass
@@ -119,6 +118,11 @@ class SessionStore(ABC):
     Payloads are dicts in, dicts out; at rest they are JSON text.
     Subclasses provide the text-level primitives; all TTL/LRU/budget
     policy lives here so every backend behaves identically.
+
+    Bookkeeping is O(1) per operation: entries sit in an access-ordered
+    dict (least recently used first) and the byte total is kept
+    running, so admission never re-sums sizes or scans for the LRU
+    entry.
     """
 
     def __init__(
@@ -138,14 +142,11 @@ class SessionStore(ABC):
         )
         self.stats = StoreStats()
         self._clock = clock
-        self._recency = itertools.count()
-        self._entries: dict[str, _Entry] = {}
+        self._entries: OrderedDict[str, _Entry] = OrderedDict()
+        self._bytes = 0
         for session_id, size, stored_at in self._scan():
-            self._entries[session_id] = _Entry(
-                size=size,
-                stored_at=stored_at,
-                last_used=next(self._recency),
-            )
+            self._entries[session_id] = _Entry(size=size, stored_at=stored_at)
+            self._bytes += size
 
     # ------------------------------------------------------------------
     # backend primitives
@@ -184,11 +185,13 @@ class SessionStore(ABC):
         self.expire()
         self._admit(session_id, len(text))
         self._write(session_id, text)
+        old = self._entries.pop(session_id, None)
+        if old is not None:
+            self._bytes -= old.size
         self._entries[session_id] = _Entry(
-            size=len(text),
-            stored_at=self._clock(),
-            last_used=next(self._recency),
+            size=len(text), stored_at=self._clock()
         )
+        self._bytes += len(text)
         self.stats.writes += 1
 
     def get(self, session_id: str) -> dict:
@@ -222,7 +225,7 @@ class SessionStore(ABC):
                 f"stored session {session_id!r} is corrupted: {exc}",
                 field="<json>",
             ) from exc
-        entry.last_used = next(self._recency)
+        self._entries.move_to_end(session_id)
         self.stats.hits += 1
         return payload
 
@@ -254,18 +257,16 @@ class SessionStore(ABC):
         if entry is None or self._expired(entry):
             raise SessionNotFoundError(f"unknown session {session_id!r}")
         entry.stored_at = self._clock()
-        entry.last_used = next(self._recency)
+        self._entries.move_to_end(session_id)
 
     def ids(self) -> list[str]:
         """Live (non-expired) session ids, least recently used first."""
         self.expire()
-        return sorted(
-            self._entries, key=lambda sid: self._entries[sid].last_used
-        )
+        return list(self._entries)
 
     @property
     def total_bytes(self) -> int:
-        return sum(entry.size for entry in self._entries.values())
+        return self._bytes
 
     def __contains__(self, session_id: str) -> bool:
         entry = self._entries.get(session_id)
@@ -283,7 +284,7 @@ class SessionStore(ABC):
 
     def _drop(self, session_id: str, *, counter: str | None = None) -> None:
         self._delete(session_id)
-        del self._entries[session_id]
+        self._bytes -= self._entries.pop(session_id).size
         if counter is not None:
             setattr(self.stats, counter, getattr(self.stats, counter) + 1)
 
@@ -296,28 +297,34 @@ class SessionStore(ABC):
                 f"store's max_bytes={budget.max_bytes} budget"
             )
 
+        # a replacement frees its old payload and takes no new slot
+        old = self._entries.get(session_id)
+        base_entries = 1 if old is None else 0
+        base_bytes = size - (0 if old is None else old.size)
+
         def over() -> bool:
-            entries = len(self._entries) + (
-                0 if session_id in self._entries else 1
-            )
-            used = self.total_bytes + size
-            if session_id in self._entries:
-                used -= self._entries[session_id].size
-            if budget.max_entries is not None and entries > budget.max_entries:
+            if (
+                budget.max_entries is not None
+                and len(self._entries) + base_entries > budget.max_entries
+            ):
                 return True
-            return budget.max_bytes is not None and used > budget.max_bytes
+            return (
+                budget.max_bytes is not None
+                and self._bytes + base_bytes > budget.max_bytes
+            )
 
         while over():
-            victims = [sid for sid in self._entries if sid != session_id]
-            if not victims or not budget.evict:
+            lru = next(
+                (sid for sid in self._entries if sid != session_id), None
+            )
+            if lru is None or not budget.evict:
                 raise AdmissionError(
                     f"session store budget exhausted "
-                    f"({len(self._entries)} entries, {self.total_bytes} "
+                    f"({len(self._entries)} entries, {self._bytes} "
                     f"bytes) and eviction is "
-                    f"{'impossible' if not victims else 'disabled'}; "
+                    f"{'impossible' if lru is None else 'disabled'}; "
                     f"retry later or close a session"
                 )
-            lru = min(victims, key=lambda sid: self._entries[sid].last_used)
             self._drop(lru, counter="evictions")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

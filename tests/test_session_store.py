@@ -20,9 +20,14 @@ Three pillars of evidence:
 
 from __future__ import annotations
 
+import base64
 import json
+import math
+import random
 import subprocess
 import sys
+import zlib
+from array import array
 from pathlib import Path
 
 import pytest
@@ -30,7 +35,10 @@ import pytest
 from repro.core.engine import SkySREngine
 from repro.core.options import BSSROptions
 from repro.core.serialize import SCHEMA_VERSION
+from repro.core.search import PoICandidateSearch
 from repro.core.session import PlanningSession
+from repro.core.spec import compile_query
+from repro.core.stats import SearchStats
 from repro.datasets.presets import mini_city
 from repro.errors import (
     AdmissionError,
@@ -41,6 +49,8 @@ from repro.errors import (
     SessionNotFoundError,
 )
 from repro.graph.io import save_dataset
+from repro.graph.poi import PoIIndex
+from repro.semantics.similarity import HierarchyWuPalmer
 from repro.service import API_VERSION, SessionApi, SkySRService
 from repro.store import DiskSessionStore, InMemorySessionStore
 
@@ -50,6 +60,8 @@ PAGES = 4
 
 #: a stored /v1 session checkpoint (schema version 1), kept as written
 CHECKPOINT_FIXTURE = Path(__file__).parent / "data" / "session_v1_mini_k2.json"
+#: the same checkpoint in schema version 2 (packed columns)
+CHECKPOINT_V2_FIXTURE = Path(__file__).parent / "data" / "session_v2_mini_k2.json"
 
 
 def page_fingerprint(page):
@@ -160,21 +172,11 @@ def test_restored_resume_beats_fresh_recompute(seed):
     assert page2.stats.routes_expanded < fresh.stats.routes_expanded
 
 
-def test_committed_v1_checkpoint_pages_like_a_fresh_engine():
-    """A ``/v1`` checkpoint written by an earlier release still restores.
-
-    ``tests/data/session_v1_mini_k2.json`` is the stored payload of a
-    ``/v1`` session on the ``mini`` preset with ``page_size`` 2 after
-    one page — cached candidate searches included.  It re-encodes to
-    the same bytes, and restored through the API its next pages
-    continue the ranking of a fresh engine's one-shot top-k."""
-    text = CHECKPOINT_FIXTURE.read_text()
-    payload = json.loads(text)
-    assert payload["version"] == SCHEMA_VERSION == 1
+def _pages_like_a_fresh_engine(payload: dict) -> None:
+    """Restored through the API, the stored session's next two pages
+    continue the ranking of a fresh engine's one-shot top-6."""
     city = mini_city()
     api = SessionApi(SkySRService(city), InMemorySessionStore())
-    restored = PlanningSession.from_dict(api.service.engine, payload)
-    assert json.dumps(restored.to_dict()) == text
     api.store.put("fixture", payload)
     served = [
         (tuple(r["pois"]), r["length"]) for r in payload["served"]
@@ -195,6 +197,40 @@ def test_committed_v1_checkpoint_pages_like_a_fresh_engine():
         query["start"], query["categories"], options=BSSROptions(k=6)
     )
     assert served == [(r.pois, r.length) for r in fresh.topk(6)]
+
+
+def test_committed_v1_checkpoint_pages_like_a_fresh_engine():
+    """A ``/v1`` checkpoint written by an earlier release still restores.
+
+    ``tests/data/session_v1_mini_k2.json`` is the stored payload of a
+    ``/v1`` session on the ``mini`` preset with ``page_size`` 2 after
+    one page — cached candidate searches included — in schema version
+    1.  It is upgraded on read; re-encoded, it gives exactly the
+    committed version-2 fixture, and restored through the API its next
+    pages continue the ranking of a fresh engine's one-shot top-k."""
+    payload = json.loads(CHECKPOINT_FIXTURE.read_text())
+    assert payload["version"] == 1 and SCHEMA_VERSION == 2
+    city = mini_city()
+    restored = PlanningSession.from_dict(
+        SkySREngine(city.network, city.forest), payload
+    )
+    assert json.dumps(restored.to_dict()) == CHECKPOINT_V2_FIXTURE.read_text()
+    _pages_like_a_fresh_engine(payload)
+
+
+def test_committed_v2_checkpoint_re_encodes_byte_for_byte():
+    """``tests/data/session_v2_mini_k2.json`` — the same session in
+    schema version 2 — re-encodes to the same bytes and pages like a
+    fresh engine."""
+    text = CHECKPOINT_V2_FIXTURE.read_text()
+    payload = json.loads(text)
+    assert payload["version"] == SCHEMA_VERSION
+    city = mini_city()
+    restored = PlanningSession.from_dict(
+        SkySREngine(city.network, city.forest), payload
+    )
+    assert json.dumps(restored.to_dict()) == text
+    _pages_like_a_fresh_engine(payload)
 
 
 def test_unstarted_session_round_trip():
@@ -225,7 +261,10 @@ def test_non_checkpointable_search_refuses_to_serialize():
 
 _CHILD = """
 import json, sys
+from repro.core.search import PoICandidateSearch
 from repro.core.session import PlanningSession
+from repro.core.spec import compile_query
+from repro.core.stats import SearchStats
 from repro.core.engine import SkySREngine
 from repro.graph.io import load_dataset
 
@@ -278,6 +317,66 @@ def test_cross_process_round_trip(tmp_path: Path):
     assert child["pops"] == oracle_page2.stats.routes_expanded
     fresh = engine.query(start, cats, options=BSSROptions().but(k=4))
     assert child["pops"] < fresh.stats.routes_expanded
+
+
+# ---------------------------------------------------------------------------
+# cached candidate searches: the heap is derived, not shipped
+
+
+def _drain(search: PoICandidateSearch):
+    stats = SearchStats()
+    search.adopt_stats(stats)
+    stream = list(search.candidates_until(math.inf))
+    return stream, stats
+
+
+def test_cached_search_checkpoint_drains_like_the_original():
+    """Checkpointed at random mid-expansion budgets and restored, a
+    candidate search drains exactly like the original: same candidate
+    stream, radius and settled set, and the same settle, relax and push
+    counts — also when the checkpointed heap held stale entries, which
+    the restored heap (rebuilt from the live labels) does not."""
+    stale_checkpoints = 0
+    checkpoints = 0
+    for seed in range(6):
+        for directed in (False, True):
+            network, forest, rng = random_instance(
+                seed, rows=7, cols=7, num_pois=20, directed=directed
+            )
+            picked = pick_query(network, forest, rng, 2)
+            if picked is None:
+                continue
+            start, cats = picked
+            compiled = compile_query(
+                start, cats, PoIIndex(network, forest), HierarchyWuPalmer()
+            )
+            for spec in compiled.specs:
+                for _ in range(4):
+                    source = rng.randrange(network.num_vertices)
+                    full = PoICandidateSearch(network, spec, source)
+                    full.expand_fully()
+                    original = PoICandidateSearch(network, spec, source)
+                    budget = rng.uniform(0.0, full.radius * 1.1)
+                    list(original.candidates_until(budget))
+                    payload = json.loads(json.dumps(original.to_dict()))
+                    restored = PoICandidateSearch.from_dict(payload, network, spec)
+                    assert restored.to_dict() == payload
+                    live = {v for _, v in original._heap if not original._settled[v]}
+                    stale_checkpoints += len(original._heap) > len(live)
+                    checkpoints += 1
+                    assert restored.next_distance() == original.next_distance()
+                    expected, expected_stats = _drain(original)
+                    actual, actual_stats = _drain(restored)
+                    assert actual == expected
+                    assert restored.candidates == original.candidates
+                    assert restored.radius == original.radius
+                    assert restored._settled == original._settled
+                    for counter in ("settled", "relaxed", "heap_pushes"):
+                        assert getattr(actual_stats, counter) == getattr(
+                            expected_stats, counter
+                        ), counter
+    assert checkpoints >= 40
+    assert stale_checkpoints > 0
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +450,168 @@ def test_missing_or_mistyped_fields_name_the_field(mutate, field):
 
 def test_corrupt_route_payload_is_wrapped_not_raw():
     engine, payload = _payload()
-    payload["search"]["state"]["skyband"][0]["pois"] = "oops"
-    with pytest.raises(SessionDecodeError):
+    payload["search"]["state"]["skyband"]["pois"] = "oops"
+    with pytest.raises(SessionDecodeError) as exc:
         PlanningSession.from_dict(engine, payload)
+    assert exc.value.field == "search.state.skyband.pois"
+
+
+def _repack(typecode, mutate):
+    """A payload edit: decode one column, ``mutate`` its items (or its
+    raw bytes, when ``typecode`` is None), encode it back."""
+
+    def edit(text):
+        raw = base64.b64decode(text)
+        if typecode is None:
+            raw = mutate(raw)
+        else:
+            raw = array(typecode, mutate(list(array(typecode, raw)))).tobytes()
+        return base64.b64encode(raw).decode("ascii")
+
+    return edit
+
+
+def _last_cache_search(payload):
+    return payload["search"]["state"]["cache"][-1]["search"]
+
+
+#: (block getter, column, edit, field the error must name)
+_MALFORMED = {
+    "bad-base64": (
+        lambda p: p["search"]["state"]["skyband"],
+        "length",
+        lambda text: "*" + text[1:],
+        "search.state.skyband.length",
+    ),
+    "truncated-route-column": (
+        lambda p: p["search"]["state"]["archive"],
+        "sims",
+        _repack(None, lambda raw: raw[:-3]),
+        "search.state.archive.sims",
+    ),
+    "truncated-search-column": (
+        _last_cache_search,
+        "dist",
+        _repack(None, lambda raw: raw[:-1]),
+        "search.state.cache.dist",
+    ),
+    "mismatched-route-lengths": (
+        lambda p: p["search"]["state"]["deferred"],
+        "consumed",
+        _repack("q", lambda items: items[:-1]),
+        "search.state.deferred.consumed",
+    ),
+    "mismatched-search-lengths": (
+        _last_cache_search,
+        "path_sim",
+        _repack("d", lambda items: items + [0.5]),
+        "search.state.cache.path_sim",
+    ),
+    "mismatched-candidate-lengths": (
+        _last_cache_search,
+        "cand_sim",
+        _repack("d", lambda items: items[:-1]),
+        "search.state.cache.cand_sim",
+    ),
+    "pois-lengths-do-not-add-up": (
+        lambda p: p["search"]["state"]["skyband"],
+        "pois_len",
+        _repack("i", lambda items: [items[0] + 1] + items[1:]),
+        "search.state.skyband.pois_len",
+    ),
+    "sims-lengths-do-not-add-up": (
+        lambda p: p["search"]["state"]["archive"],
+        "sims_len",
+        _repack("i", lambda items: [items[0] - 1] + items[1:]),
+        "search.state.archive.sims_len",
+    ),
+    "route-vertex-out-of-range": (
+        lambda p: p["search"]["state"]["skyband"],
+        "pois",
+        _repack("i", lambda items: [10**6] + items[1:]),
+        "search.state.skyband.pois",
+    ),
+    "negative-route-vertex": (
+        lambda p: p["search"]["state"]["deferred"],
+        "pois",
+        _repack("i", lambda items: items[:-1] + [-1]),
+        "search.state.deferred.pois",
+    ),
+    "live-vertex-out-of-range": (
+        _last_cache_search,
+        "live",
+        _repack("i", lambda items: items[:-1] + [10**6]),
+        "search.state.cache.live",
+    ),
+    "candidate-vertex-out-of-range": (
+        _last_cache_search,
+        "cand_vertex",
+        _repack("i", lambda items: [-5] + items[1:]),
+        "search.state.cache.cand_vertex",
+    ),
+    "settled-not-zlib": (
+        _last_cache_search,
+        "settled",
+        _repack(None, lambda raw: b"not zlib"),
+        "search.state.cache.settled",
+    ),
+    "settled-beyond-network": (
+        _last_cache_search,
+        "settled",
+        _repack(None, lambda raw: zlib.compress(b"\1" * 10**6)),
+        "search.state.cache.settled",
+    ),
+    "settled-flag-not-binary": (
+        _last_cache_search,
+        "settled",
+        _repack(None, lambda raw: zlib.compress(b"\1\2")),
+        "search.state.cache.settled",
+    ),
+    "source-out-of-range": (
+        _last_cache_search,
+        "source",
+        lambda source: 10**6,
+        "search.state.cache.source",
+    ),
+    "column-not-a-string": (
+        lambda p: p["search"]["state"]["queue"],
+        "queue_serial",
+        lambda text: [1, 2],
+        "search.state.queue.queue_serial",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_packed_column_names_the_field(case):
+    """Strict packed-column decoding: bad base64, truncated columns,
+    mismatched lengths, lengths that do not add up and vertices outside
+    the network all raise the typed error naming the column."""
+    block_of, column, edit, field = _MALFORMED[case]
+    engine, payload = _payload(seed=2, pages=2)
+    block = block_of(payload)
+    block[column] = edit(block[column])
+    with pytest.raises(SessionDecodeError) as exc:
+        PlanningSession.from_dict(engine, payload)
+    assert exc.value.field == field
+
+
+@pytest.mark.parametrize("column", ["pois", "semantic"])
+def test_missing_packed_column_names_the_field(column):
+    engine, payload = _payload()
+    del payload["search"]["state"]["archive"][column]
+    with pytest.raises(SessionDecodeError) as exc:
+        PlanningSession.from_dict(engine, payload)
+    assert exc.value.field == f"search.state.archive.{column}"
+
+
+def test_malformed_v1_payload_is_typed_through_the_upgrade():
+    payload = json.loads(CHECKPOINT_FIXTURE.read_text())
+    payload["search"]["state"]["deferred"][0]["route"]["pois"] = "oops"
+    city = mini_city()
+    with pytest.raises(SessionDecodeError) as exc:
+        PlanningSession.from_dict(SkySREngine(city.network, city.forest), payload)
+    assert exc.value.field == "search.state.deferred"
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +700,121 @@ def test_store_round_trips_real_session_payloads():
     store.put("trip", payload)
     restored = PlanningSession.from_dict(engine, store.get("trip"))
     assert restored.started and len(restored.served) == 2
+
+
+class _ListLRU:
+    """Reference model of the store policy: a plain list, least
+    recently used first, re-scanned and re-summed on every step."""
+
+    def __init__(self, *, max_entries, max_bytes, ttl, evict, clock):
+        self.max_entries, self.max_bytes = max_entries, max_bytes
+        self.ttl, self.evict, self.clock = ttl, evict, clock
+        self.order: list[list] = []  # [id, size, stored_at]
+        self.evictions = self.expirations = 0
+
+    def _find(self, sid):
+        return next((e for e in self.order if e[0] == sid), None)
+
+    def _lapsed(self, entry):
+        return self.ttl is not None and self.clock() - entry[2] > self.ttl
+
+    def expire(self):
+        lapsed = [e for e in self.order if self._lapsed(e)]
+        for e in lapsed:
+            self.order.remove(e)
+        self.expirations += len(lapsed)
+
+    def put(self, sid, size):
+        self.expire()
+        if self.max_bytes is not None and size > self.max_bytes:
+            raise AdmissionError("never fits")
+        while True:
+            others = [e for e in self.order if e[0] != sid]
+            entries = len(others) + 1
+            used = sum(e[1] for e in others) + size
+            if not (
+                (self.max_entries is not None and entries > self.max_entries)
+                or (self.max_bytes is not None and used > self.max_bytes)
+            ):
+                break
+            if not others or not self.evict:
+                raise AdmissionError("full")
+            self.order.remove(others[0])
+            self.evictions += 1
+        entry = self._find(sid)
+        if entry is not None:
+            self.order.remove(entry)
+        self.order.append([sid, size, self.clock()])
+
+    def get(self, sid):
+        entry = self._find(sid)
+        if entry is None:
+            raise SessionNotFoundError(sid)
+        if self._lapsed(entry):
+            self.order.remove(entry)
+            self.expirations += 1
+            raise SessionExpiredError(sid)
+        self.order.remove(entry)
+        self.order.append(entry)
+
+    def touch(self, sid):
+        entry = self._find(sid)
+        if entry is None or self._lapsed(entry):
+            raise SessionNotFoundError(sid)
+        entry[2] = self.clock()
+        self.order.remove(entry)
+        self.order.append(entry)
+
+    def delete(self, sid):
+        entry = self._find(sid)
+        if entry is not None:
+            self.order.remove(entry)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_store_bookkeeping_matches_a_list_lru(seed):
+    """Random put/get/touch/delete/expire steps against the list model:
+    same key order, byte total, evictions and expirations, and the same
+    typed refusals."""
+    rng = random.Random(seed)
+    now = [0.0]
+    budget = {
+        "max_entries": rng.choice([None, 2, 3, 5]),
+        "max_bytes": rng.choice([None, 60, 120, 400]),
+        "ttl": rng.choice([None, 4.0, 15.0]),
+        "evict": rng.random() < 0.8,
+    }
+    store = InMemorySessionStore(clock=lambda: now[0], **budget)
+    model = _ListLRU(clock=lambda: now[0], **budget)
+    ids = [f"s{i}" for i in range(7)]
+    for _ in range(300):
+        now[0] += rng.choice([0.0, 0.5, 1.0, 3.0])
+        op = rng.choice(["put", "put", "get", "get", "touch", "delete", "expire"])
+        sid = rng.choice(ids)
+        payload = {"v": "x" * rng.randrange(0, 90)}
+        outcomes = []
+        for target in (store, model):
+            try:
+                if op == "put":
+                    if target is store:
+                        store.put(sid, payload)
+                    else:
+                        model.put(sid, len(json.dumps(payload)))
+                elif op == "expire":
+                    target.expire()
+                else:
+                    getattr(target, op)(sid)
+                outcomes.append(None)
+            except (AdmissionError, SessionNotFoundError) as exc:
+                outcomes.append(type(exc))
+        assert outcomes[0] == outcomes[1], (op, sid)
+        assert list(store._entries) == [e[0] for e in model.order]
+        assert store.total_bytes == sum(e[1] for e in model.order)
+        assert store.stats.evictions == model.evictions
+        assert store.stats.expirations == model.expirations
+    model.expire()
+    assert store.ids() == [e[0] for e in model.order]
+    assert store.stats.expirations == model.expirations
 
 
 # ---------------------------------------------------------------------------
